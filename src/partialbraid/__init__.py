@@ -18,13 +18,15 @@ from .action import (
     letter_endo,
     tau,
 )
-from .diagram import Skeleton, delete_strand, evaluate_skeleton, is_i_makanin, is_makanin
+from .diagram import Skeleton, delete_strand, evaluate_skeleton
 from .freegroup import ResourceLimitError
 from .garside import (
     CanonicalForm,
     GarsideNF,
     canonical_form,
     equal_nf,
+    is_i_makanin,
+    is_makanin,
     is_permutation_braid,
     left_greedy_nf,
     perm_to_word,
@@ -32,7 +34,6 @@ from .garside import (
     word_to_perm,
 )
 from .monoidal import (
-    PairedWord,
     check_naturality,
     factorize,
     is_central,

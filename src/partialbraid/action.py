@@ -68,9 +68,6 @@ class PartialEndo:
             img[len(img) // 2] if img is not None else None for img in self.images
         )
 
-    def codomain(self) -> tuple[int, ...]:
-        return tuple(sorted(j for j in self.index_map() if j is not None))
-
     def validate(self) -> PartialEndo:
         """Check the canonical-form invariants, raising ValueError if broken."""
         cores = []

@@ -135,6 +135,8 @@ def _cmd_eval(args) -> int:
 def _equal(engine: str, w1: Word, w2: Word, max_letters: int) -> bool:
     if engine == "action":
         return action.equal_action(w1, w2, max_letters=max_letters)
+    if engine == "injection":
+        return action.tau(w1, max_letters=max_letters) == action.tau(w2, max_letters=max_letters)
     return garside.equal_nf(w1, w2)
 
 
@@ -215,13 +217,13 @@ def _cmd_inv(args) -> int:
 
 def _cmd_makanin(args) -> int:
     return _bool_result(
-        args, diagram.is_makanin(words.parse_word(args.word, args.n))
+        args, garside.is_makanin(words.parse_word(args.word, args.n))
     )
 
 
 def _cmd_imakanin(args) -> int:
     return _bool_result(
-        args, diagram.is_i_makanin(words.parse_word(args.word, args.n), args.i)
+        args, garside.is_i_makanin(words.parse_word(args.word, args.n), args.i)
     )
 
 
@@ -285,12 +287,7 @@ def _cmd_verify(args) -> int:
     failures = 0
     rows = []
     for rel in relations:
-        if engine == "injection":
-            ok = action.tau(rel.left) == action.tau(rel.right)
-        elif engine == "action":
-            ok = action.equal_action(rel.left, rel.right, args.max_letters)
-        else:
-            ok = garside.equal_nf(rel.left, rel.right)
+        ok = _equal(engine, rel.left, rel.right, args.max_letters)
         failures += not ok
         rows.append(
             {"tag": rel.tag, "left": str(rel.left), "right": str(rel.right), "ok": ok}

@@ -1,4 +1,4 @@
-"""Strand-level geometry: skeletons, strand deletion, Makanin tests.
+"""Strand-level geometry: skeletons and strand deletion.
 
 A word is simulated top to bottom as a diagram with live and empty
 positions.  A crossing over two live positions records a crossing of the
@@ -13,7 +13,7 @@ import bisect
 import dataclasses
 
 from . import action
-from .words import EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word, epsilon, sigma, sigma_inv
+from .words import EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word, sigma, sigma_inv
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,51 +132,3 @@ def delete_strand(braid: Word, start_pos: int) -> Word:
         raise ValueError(f"start position {start_pos} out of range for {m} strands")
     signed = _delete_letters([_signed(letter) for letter in braid], start_pos)
     return _crossing_word(m - 1, signed)
-
-
-def _is_trivial_braid(braid: Word) -> bool:
-    if not braid.letters:
-        return True
-    endo = action.evaluate(braid)
-    return endo.images == action.PartialEndo.identity(braid.n).images
-
-
-def _is_single_deletion(skel: Skeleton, i: int) -> bool:
-    # trivial braid forces the sorted correspondence, so domain == codomain
-    # == complement plus braid triviality pins the element down
-    rest = tuple(j for j in range(1, skel.n + 1) if j != i)
-    return (
-        skel.domain == rest
-        and skel.codomain == rest
-        and _is_trivial_braid(skel.braid)
-    )
-
-
-def is_i_makanin(w: Word, i: int) -> bool:
-    """Does deleting strand i from w leave the trivial diagram?
-
-    Defined for full braids (every strand survives w) and for the
-    single-deletion idempotent at i itself; other partial words raise.
-    """
-    n = w.n
-    if not 1 <= i <= n:
-        raise ValueError(f"strand index {i} out of range for n={n}")
-    skel = evaluate_skeleton(w)
-    if len(skel.domain) != n:
-        if _is_single_deletion(skel, i):
-            return True
-        raise ValueError(
-            "i-Makanin test needs a full braid or the single-deletion "
-            "idempotent at i itself"
-        )
-    return _is_single_deletion(
-        evaluate_skeleton(Word(n, (epsilon(i),)) * w), i
-    )
-
-
-def is_makanin(w: Word) -> bool:
-    """True when w is i-Makanin for every strand i."""
-    skel = evaluate_skeleton(w)
-    if len(skel.domain) != w.n:
-        raise ValueError("Makanin test needs a full braid")
-    return all(is_i_makanin(w, i) for i in range(1, w.n + 1))

@@ -8,7 +8,7 @@ words exponentially); crossing the cap raises ResourceLimitError.
 
 from __future__ import annotations
 
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Optional, Sequence
 
 FreeWord = tuple[int, ...]
 
@@ -19,72 +19,12 @@ class ResourceLimitError(RuntimeError):
     """A free word outgrew the configured letter cap."""
 
 
-def reduce_word(letters: Iterable[int], max_letters: int = MAX_LETTERS) -> FreeWord:
-    """Freely reduce a letter sequence, cancelling adjacent inverse pairs."""
-    out: list[int] = []
-    for x in letters:
-        if x == 0:
-            raise ValueError("free-word letters are nonzero ints")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-            if len(out) > max_letters:
-                raise ResourceLimitError(f"free word exceeded {max_letters} letters")
-    return tuple(out)
-
-
-def multiply(a: FreeWord, b: FreeWord, max_letters: int = MAX_LETTERS) -> FreeWord:
-    """Product of two reduced words: concatenate and reduce."""
-    out = list(a)
-    for x in b:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-            if len(out) > max_letters:
-                raise ResourceLimitError(f"free word exceeded {max_letters} letters")
-    return tuple(out)
-
-
-def invert(a: FreeWord) -> FreeWord:
-    return tuple(-x for x in reversed(a))
-
-
-def substitute(
-    a: FreeWord,
-    images: Sequence[Optional[FreeWord]],
-    max_letters: int = MAX_LETTERS,
-) -> Optional[FreeWord]:
-    """Replace each letter x_i^e by images[i-1]^e and reduce.
-
-    Returns None as soon as any letter of a has no image: the substitution
-    is a partial map and a is outside its domain.
-    """
-    out: list[int] = []
-    for x in a:
-        img = images[abs(x) - 1]
-        if img is None:
-            return None
-        block = img if x > 0 else tuple(-y for y in reversed(img))
-        for y in block:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-                if len(out) > max_letters:
-                    raise ResourceLimitError(
-                        f"free word exceeded {max_letters} letters"
-                    )
-    return tuple(out)
-
-
 def substitute_erasing(
     a: FreeWord,
     images: Sequence[Optional[FreeWord]],
     max_letters: int = MAX_LETTERS,
 ) -> FreeWord:
-    """Substitute with imageless letters erased instead of blocking.
+    """Replace each letter x_i^e by images[i-1]^e, erasing imageless ones.
 
     This is the homomorphism sending x_i to images[i-1] when defined and to
     the empty word otherwise; it is how deleted strands drop out of the
@@ -143,7 +83,7 @@ def conjugate_decompose(a: FreeWord) -> Optional[tuple[int, FreeWord]]:
         return None
     mid = len(a) // 2
     core = a[mid]
-    if core < 0:
+    if core <= 0:
         return None
     for i in range(mid):
         if a[i] != -a[-1 - i]:

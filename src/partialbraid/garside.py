@@ -11,6 +11,7 @@ The greedy condition for an adjacent factor pair (A, B) is that every
 crossing that could start B already finishes A; sliding violating
 crossings leftward terminates and the resulting form is unique, which is
 what makes structural equality of canonical forms a word-problem solver.
+The Makanin tests are decided here too, by their definition through it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .words import (
     SIGMA_INV,
     Word,
     delta_word,
+    epsilon,
     epsilon_block,
     mirror_inverse,
     sigma,
@@ -293,6 +295,34 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     if w1.n != w2.n:
         raise ValueError(f"strand-count mismatch: {w1.n} vs {w2.n}")
     return canonical_form(w1) == canonical_form(w2)
+
+
+def is_i_makanin(w: Word, i: int) -> bool:
+    """Does deleting strand i from w leave the trivial diagram?
+
+    Defined for full braids (every strand survives w), where it asks
+    whether e_i w equals e_i, and for the single-deletion idempotent e_i
+    itself; other partial words raise.
+    """
+    n = w.n
+    if not 1 <= i <= n:
+        raise ValueError(f"strand index {i} out of range for n={n}")
+    e_i = Word(n, (epsilon(i),))
+    if len(evaluate_skeleton(w).domain) == n:
+        return equal_nf(e_i * w, e_i)
+    if equal_nf(w, e_i):
+        return True
+    raise ValueError(
+        "i-Makanin test needs a full braid or the single-deletion "
+        "idempotent at i itself"
+    )
+
+
+def is_makanin(w: Word) -> bool:
+    """True when w is i-Makanin for every strand i."""
+    if len(evaluate_skeleton(w).domain) != w.n:
+        raise ValueError("Makanin test needs a full braid")
+    return all(is_i_makanin(w, i) for i in range(1, w.n + 1))
 
 
 def domain_prefix_letters(domain: tuple[int, ...]) -> tuple:

@@ -16,11 +16,12 @@ from partialbraid.action import (
     equal_action,
     tau,
 )
-from partialbraid.diagram import is_i_makanin, is_makanin
 from partialbraid.garside import (
     canonical_form,
     equal_nf,
     identity_perm,
+    is_i_makanin,
+    is_makanin,
     is_permutation_braid,
     left_weighted,
     longest_perm,

@@ -7,13 +7,8 @@ from conftest import (
     random_word,
 )
 from partialbraid.action import equal_action, tau
-from partialbraid.diagram import (
-    delete_strand,
-    evaluate_skeleton,
-    is_i_makanin,
-    is_makanin,
-)
-from partialbraid.garside import word_to_perm
+from partialbraid.diagram import delete_strand, evaluate_skeleton
+from partialbraid.garside import is_i_makanin, is_makanin, word_to_perm
 from partialbraid.words import Word, delta_word, epsilon, mirror_inverse, parse_word, sigma
 
 
@@ -131,7 +126,7 @@ def test_makanin_domain_restrictions():
 
 
 def test_makanin_agrees_with_definitional_check(rng):
-    # the skeleton route against eps_i w == eps_i through the action engine
+    # the normal-form route against eps_i w == eps_i through the action engine
     for _ in range(200):
         n = rng.randint(2, 5)
         braid = random_braid_word(rng, n, 10)

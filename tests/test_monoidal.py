@@ -1,8 +1,7 @@
-from conftest import random_word
+from conftest import random_braid_word, random_word
 from partialbraid.action import PartialInjection, equal_action, tau
 from partialbraid.garside import equal_nf
 from partialbraid.monoidal import (
-    PairedWord,
     check_naturality,
     factorize,
     is_central,
@@ -17,7 +16,9 @@ from partialbraid.words import (
     braiding_word,
     delta_word,
     epsilon,
+    mirror_inverse,
     parse_word,
+    sigma,
 )
 
 
@@ -43,14 +44,6 @@ def test_mu_restricted_to_braids_is_index_shift():
     left = w("s1 s2^-1", 3)
     right = w("s1", 2)
     assert str(mu(left, right)) == "s1 s2^-1 s4"
-
-
-def test_paired_word_invariant(rng):
-    for _ in range(50):
-        a = random_word(rng, rng.randint(0, 4), 6)
-        b = random_word(rng, rng.randint(0, 4), 6)
-        pair = PairedWord.of(a, b)
-        assert pair.combined == mu(pair.left, pair.right)
 
 
 def test_naturality_examples():
@@ -125,6 +118,27 @@ def test_is_central_examples():
     assert not is_central(w("s1", 3))
     assert not is_central(w("e1", 2))
     assert is_central(Word(3))  # the identity
+
+
+def test_is_central_agrees_with_action_oracle(rng):
+    # the normal-form route against w g == g w through the action engine,
+    # on random words with deletions and on conjugates of the full twist
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        word = random_word(rng, n, 8)
+        if rng.random() < 0.3:
+            u = random_braid_word(rng, n, 4)
+            word = u * delta_word(n) ** 2 * mirror_inverse(u)
+        generators = [Word(n, (sigma(i),)) for i in range(1, n)]
+        generators += [Word(n, (epsilon(i),)) for i in range(1, n + 1)]
+        expected = all(equal_action(word * g, g * word) for g in generators)
+        assert is_central(word) == expected, str(word)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    # welded words can only be compared through the action
+    assert is_central(w("t1 t1", 3))
+    assert not is_central(w("t1", 3))
 
 
 def test_center_classification_small():
