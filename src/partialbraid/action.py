@@ -79,7 +79,10 @@ class PartialEndo:
                 raise ValueError(
                     f"image {freegroup.word_str(img)} is not a conjugated generator"
                 )
-            cores.append(decomposition[0])
+            core = decomposition[0]
+            if core > self.n:
+                raise ValueError(f"image core x{core} out of range for n={self.n}")
+            cores.append(core)
         if len(set(cores)) != len(cores):
             raise ValueError("index map is not injective")
         allowed = set(cores)

@@ -274,7 +274,10 @@ def _cmd_abelian(args) -> int:
 
 def _cmd_central(args) -> int:
     return _bool_result(
-        args, monoidal.is_central(words.parse_word(args.word, args.n))
+        args,
+        monoidal.is_central(
+            words.parse_word(args.word, args.n), max_letters=args.max_letters
+        ),
     )
 
 

@@ -9,7 +9,6 @@ together with every crossing it was involved in.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 
 from . import action
@@ -83,39 +82,59 @@ def _signed(letter: Letter) -> int:
 
 
 def _crossing_word(k: int, signed: list[int]) -> Word:
-    return Word(
-        k, tuple(sigma(x) if x > 0 else sigma_inv(-x) for x in signed)
-    )
+    up = [None] + [sigma(i) for i in range(1, k)]
+    down = [None] + [sigma_inv(i) for i in range(1, k)]
+    return Word(k, tuple(up[x] if x > 0 else down[-x] for x in signed))
 
 
 def evaluate_skeleton(w: Word) -> Skeleton:
-    """Track strands through w and return (domain, codomain, braid)."""
+    """Track strands through w and return (domain, codomain, braid).
+
+    Two passes, O(len(w) + n).  The first follows the occupant of every
+    position to find the survivors.  The second replays the word with only
+    the survivors placed, so a crossing with a strand deleted later is a
+    plain move, and a crossing of two survivors gets its rank from
+    above[p], the number of survivors at positions before p.
+    """
     n = w.n
     occupant: list[int | None] = list(range(1, n + 1))
-    live_ids = list(range(1, n + 1))  # ascending; index+1 = rank at the top
-    braid: list[int] = []
     for letter in w.letters:
-        if letter.kind == XI:
-            raise ValueError("skeletons are not defined for xi letters")
+        kind = letter.kind
         p = letter.index - 1
-        if letter.kind == EPSILON:
-            strand = occupant[p]
-            if strand is None:
-                continue
-            top_rank = bisect.bisect_left(live_ids, strand) + 1
-            braid = _delete_letters(braid, top_rank)
-            live_ids.remove(strand)
+        if kind == EPSILON:
             occupant[p] = None
+        elif kind == XI:
+            raise ValueError("skeletons are not defined for xi letters")
         else:
-            a, b = occupant[p], occupant[p + 1]
-            if a is not None and b is not None:
-                rank = sum(1 for q in range(p + 1) if occupant[q] is not None)
-                braid.append(rank if letter.kind == SIGMA else -rank)
-            occupant[p], occupant[p + 1] = b, a
-    domain = tuple(live_ids)
+            occupant[p], occupant[p + 1] = occupant[p + 1], occupant[p]
     codomain = tuple(
         p + 1 for p, strand in enumerate(occupant) if strand is not None
     )
+    live = [False] * n
+    for strand in occupant:
+        if strand is not None:
+            live[strand - 1] = True
+    domain = tuple(p + 1 for p in range(n) if live[p])
+
+    above = [0] * n
+    for p in range(1, n):
+        above[p] = above[p - 1] + live[p - 1]
+    braid: list[int] = []
+    for letter in w.letters:
+        kind = letter.kind
+        if kind == EPSILON:
+            continue
+        p = letter.index - 1
+        a, b = live[p], live[p + 1]
+        if a and b:
+            rank = above[p] + 1
+            braid.append(rank if kind == SIGMA else -rank)
+        elif a:
+            live[p], live[p + 1] = False, True
+            above[p + 1] -= 1
+        elif b:
+            live[p], live[p + 1] = True, False
+            above[p + 1] += 1
     return Skeleton(n, domain, codomain, _crossing_word(len(domain), braid))
 
 

@@ -30,6 +30,8 @@ def substitute_erasing(
     the empty word otherwise; it is how deleted strands drop out of the
     conjugators of surviving ones.
     """
+    if 0 in a:
+        raise ValueError("free words have no letter 0")
     out: list[int] = []
     for x in a:
         img = images[abs(x) - 1]

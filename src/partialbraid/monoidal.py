@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .action import PartialInjection, equal_action
 from .diagram import evaluate_skeleton
+from .freegroup import MAX_LETTERS
 from .garside import domain_prefix_letters, equal_nf, perm_to_word
 from .words import (
     XI,
@@ -28,10 +29,11 @@ def mu(a: Word, b: Word) -> Word:
     return Word(n, a.letters + shift_word(b, a.n, n).letters)
 
 
-def _equal(w1: Word, w2: Word) -> bool:
-    """Monoid equality through normal forms; welded words need the action."""
+def _equal(w1: Word, w2: Word, max_letters: int = MAX_LETTERS) -> bool:
+    """Monoid equality through normal forms; welded words need the action,
+    which runs under max_letters."""
     if XI in w1.kinds() or XI in w2.kinds():
-        return equal_action(w1, w2)
+        return equal_action(w1, w2, max_letters=max_letters)
     return equal_nf(w1, w2)
 
 
@@ -92,9 +94,12 @@ def positive_lift(p: PartialInjection) -> Word:
     return Word(n, idempotent + spread.letters)
 
 
-def is_central(w: Word) -> bool:
-    """Does w commute with every generator of its monoid?"""
+def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
+    """Does w commute with every generator of its monoid?
+
+    Welded words are decided by the action engine under max_letters.
+    """
     n = w.n
     generators = [Word(n, (sigma(i),)) for i in range(1, n)]
     generators += [Word(n, (epsilon(i),)) for i in range(1, n + 1)]
-    return all(_equal(w * g, g * w) for g in generators)
+    return all(_equal(w * g, g * w, max_letters) for g in generators)

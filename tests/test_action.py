@@ -90,6 +90,18 @@ def test_canonical_images_use_codomain_letters_only():
     endo.validate()
 
 
+def test_partial_endo_validation():
+    PartialEndo(2, ((-2, 1, 2), (2,))).validate()
+    with pytest.raises(ValueError):
+        PartialEndo(2, ((5,), (2,))).validate()  # core outside 1..n
+    with pytest.raises(ValueError):
+        PartialEndo(2, ((1, 2), None)).validate()  # not a conjugated generator
+    with pytest.raises(ValueError):
+        PartialEndo(2, ((1,), (1,))).validate()  # not injective
+    with pytest.raises(ValueError):
+        PartialEndo(2, ((-2, 1, 2), None)).validate()  # x2 is not in the codomain
+
+
 def test_equal_action_examples():
     assert equal_action(w("s1 s2 s1", 3), w("s2 s1 s2", 3))
     assert not equal_action(w("e1", 2), w("e2", 2))

@@ -134,6 +134,8 @@ def test_xi_rejected_by_garside_engine(capsys):
 def test_resource_limit_exit_three(capsys):
     word = "s1 s2 " * 40
     assert run(["eval", "-n", "3", "--max-letters", "50", word]) == 3
+    # central runs welded words on the action engine, under the same cap
+    assert run(["central", "-n", "3", "--max-letters", "50", "t1 " + word]) == 3
     capsys.readouterr()
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -7,9 +9,20 @@ from conftest import (
     random_word,
 )
 from partialbraid.action import equal_action, tau
-from partialbraid.diagram import delete_strand, evaluate_skeleton
+from partialbraid.diagram import _delete_letters, delete_strand, evaluate_skeleton
 from partialbraid.garside import is_i_makanin, is_makanin, word_to_perm
-from partialbraid.words import Word, delta_word, epsilon, mirror_inverse, parse_word, sigma
+from partialbraid.words import (
+    EPSILON,
+    SIGMA,
+    XI,
+    Word,
+    delta_word,
+    epsilon,
+    mirror_inverse,
+    parse_word,
+    sigma,
+    sigma_inv,
+)
 
 
 def w(text, n):
@@ -41,6 +54,84 @@ def test_skeleton_crossing_over_empty_position():
 def test_skeleton_rejects_xi():
     with pytest.raises(ValueError):
         evaluate_skeleton(w("t1", 2))
+
+
+def _reference_skeleton(word):
+    """Track every strand, ranking each crossing by a scan over the
+    positions, and drop a strand's crossings from the recorded braid when
+    it is deleted: (domain, codomain, signed crossing ranks)."""
+    occupant = list(range(1, word.n + 1))
+    live = list(range(1, word.n + 1))
+    braid = []
+    for letter in word.letters:
+        if letter.kind == XI:
+            raise ValueError("xi")
+        p = letter.index - 1
+        if letter.kind == EPSILON:
+            strand = occupant[p]
+            if strand is None:
+                continue
+            braid = _delete_letters(braid, live.index(strand) + 1)
+            live.remove(strand)
+            occupant[p] = None
+        else:
+            if occupant[p] is not None and occupant[p + 1] is not None:
+                rank = sum(1 for q in range(p + 1) if occupant[q] is not None)
+                braid.append(rank if letter.kind == SIGMA else -rank)
+            occupant[p], occupant[p + 1] = occupant[p + 1], occupant[p]
+    codomain = tuple(p + 1 for p, s in enumerate(occupant) if s is not None)
+    return tuple(live), codomain, braid
+
+
+def _signed_ranks(braid):
+    return [x.index if x.kind == SIGMA else -x.index for x in braid]
+
+
+def _check_skeleton(word):
+    skel = evaluate_skeleton(word)
+    assert (skel.domain, skel.codomain, _signed_ranks(skel.braid)) == (
+        _reference_skeleton(word)
+    ), str(word)
+    ends = position_tracking_map(word)
+    assert skel.domain == tuple(sorted(ends))
+    assert skel.codomain == tuple(sorted(ends.values()))
+    assert {s: skel.injection().mapping[s - 1] for s in ends} == ends
+
+
+def test_skeleton_matches_reference_tracker():
+    # seeded: 2,080 words of up to 4n letters, 0-50% of them deletions
+    rng = random.Random(0x5CE1)
+    for n in list(range(2, 13)) + [20, 40]:
+        for _ in range(160):
+            share = rng.uniform(0.0, 0.5)
+            letters = []
+            for _ in range(rng.randint(0, 4 * n)):
+                if rng.random() < share:
+                    letters.append(epsilon(rng.randint(1, n)))
+                else:
+                    make = sigma if rng.random() < 0.5 else sigma_inv
+                    letters.append(make(rng.randint(1, n - 1)))
+            _check_skeleton(Word(n, tuple(letters)))
+
+
+def test_skeleton_edge_cases():
+    words = [
+        ("e1", 1),
+        ("e1 e1", 1),
+        ("", 1),
+        ("", 0),
+        ("e2 e2 s1 s2", 3),  # the second e2 finds its position empty
+        ("e2 e3 s2 s2^-1 s1 s3", 4),  # s2 crosses two empty positions
+        ("s1 s2 e1 e2 e3 s1", 3),  # every strand deleted
+        ("s1 s2 s3 s1 e2 s2^-1 s1", 4),
+    ]
+    for text, n in words:
+        _check_skeleton(w(text, n))
+    skel = evaluate_skeleton(w("s1 s2 e1 e2 e3 s1", 3))
+    assert (skel.domain, skel.codomain, skel.braid) == ((), (), Word(0))
+    for text in ("s1 t2", "t1 e1", "e1 e2 e3 t1"):
+        with pytest.raises(ValueError):
+            evaluate_skeleton(w(text, 3))
 
 
 def test_skeleton_display():

@@ -136,6 +136,10 @@ def test_zero_letter_rejected():
     # 0 names no generator, so no word centred on it is a conjugated generator
     assert F.conjugate_decompose((0,)) is None
     assert F.conjugate_decompose((-2, 0, 2)) is None
+    with pytest.raises(ValueError):
+        F.substitute_erasing((0,), [(1,), (2,)])
+    with pytest.raises(ValueError):
+        F.substitute_erasing((1, 0), [(1,), (2,)])
 
 
 def test_word_str():
