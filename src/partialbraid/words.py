@@ -87,25 +87,17 @@ class Word:
                     f"letter {letter.token()} out of range for n={self.n}"
                 )
 
-    @classmethod
-    def _unchecked(cls, n: int, letters: tuple[Letter, ...]) -> Word:
-        """A word from letters already known to fit n, skipping the check."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "n", n)
-        object.__setattr__(word, "letters", letters)
-        return word
-
     def __mul__(self, other: Word) -> Word:
         if self.n != other.n:
             raise ValueError(
                 f"cannot concatenate words on {self.n} and {other.n} strands"
             )
-        return Word._unchecked(self.n, self.letters + other.letters)
+        return Word(self.n, self.letters + other.letters)
 
     def __pow__(self, k: int) -> Word:
         if k < 0:
             raise ValueError("monoid words only have nonnegative powers")
-        return Word._unchecked(self.n, self.letters * k)
+        return Word(self.n, self.letters * k)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -60,20 +60,6 @@ def test_concatenation_checks_strands():
         parse_word("s1", 2) * parse_word("s1", 3)
 
 
-def test_products_and_powers_are_plain_words():
-    # * and ** skip the per-letter check; building a word directly keeps it
-    a, b = parse_word("s1 e3", 3), parse_word("s2^-1", 3)
-    product = a * b
-    assert product == Word(3, a.letters + b.letters)
-    assert hash(product) == hash(Word(3, a.letters + b.letters))
-    assert a ** 3 == Word(3, a.letters * 3)
-    assert a ** 0 == Word(3)
-    with pytest.raises(ValueError):
-        a ** -1
-    with pytest.raises(ValueError):
-        Word(3, product.letters + (sigma(3),))
-
-
 @st.composite
 def monoid_words(draw, max_n=6, max_len=12):
     n = draw(st.integers(0, max_n))
