@@ -164,9 +164,16 @@ def _cmd_eq_batch(args) -> int:
                     f"line {lineno}: expected word<TAB>word", file=sys.stderr
                 )
                 return USAGE_ERROR
-            w1 = words.parse_word(parts[0], args.n)
-            w2 = words.parse_word(parts[1], args.n)
-            value = _equal(args.engine, w1, w2, args.max_letters)
+            try:
+                w1 = words.parse_word(parts[0], args.n)
+                w2 = words.parse_word(parts[1], args.n)
+                value = _equal(args.engine, w1, w2, args.max_letters)
+            except ResourceLimitError as exc:
+                print(f"line {lineno}: resource limit: {exc}", file=sys.stderr)
+                return RESOURCE_ERROR
+            except ValueError as exc:
+                print(f"line {lineno}: error: {exc}", file=sys.stderr)
+                return USAGE_ERROR
             _emit(args, "true" if value else "false", {"result": value})
     finally:
         if stream is not sys.stdin:

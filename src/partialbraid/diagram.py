@@ -22,37 +22,30 @@ class Skeleton:
     domain lists the surviving strands by start position, codomain their
     end positions, both ascending; braid is a crossing-only word on
     k = len(domain) strands, indexed by rank among the survivors.
+    mapping[s-1] is the end position of the strand starting at s, or None
+    when it is deleted: the partial injection the word induces.
     """
 
     n: int
     domain: tuple[int, ...]
     codomain: tuple[int, ...]
     braid: Word
+    mapping: tuple[int | None, ...]
 
     def __post_init__(self):
         if len(self.domain) != len(self.codomain):
             raise ValueError("domain and codomain sizes differ")
+        if len(self.mapping) != self.n:
+            raise ValueError("strand map has the wrong length")
         if self.braid.n != len(self.domain):
             raise ValueError("underlying braid has the wrong strand count")
         if any(letter.kind not in (SIGMA, SIGMA_INV) for letter in self.braid):
             raise ValueError("underlying braid must be crossing-only")
 
     def injection(self) -> action.PartialInjection:
-        """The partial injection the skeleton induces: t-th domain element
-        to the codomain element its strand reaches through the braid."""
-        k = len(self.domain)
-        rank = list(range(k))  # rank[t] = current rank of the t-th strand
-        for letter in self.braid:
-            r = letter.index - 1
-            for t, value in enumerate(rank):
-                if value == r:
-                    rank[t] = r + 1
-                elif value == r + 1:
-                    rank[t] = r
-        mapping: list[int | None] = [None] * self.n
-        for t, start in enumerate(self.domain):
-            mapping[start - 1] = self.codomain[rank[t]]
-        return action.PartialInjection(self.n, tuple(mapping))
+        """The partial injection the skeleton induces: each domain element
+        to the codomain element its strand reaches."""
+        return action.PartialInjection(self.n, self.mapping)
 
     def __str__(self) -> str:
         dom = ",".join(str(i) for i in self.domain)
@@ -88,13 +81,14 @@ def _crossing_word(k: int, signed: list[int]) -> Word:
 
 
 def evaluate_skeleton(w: Word) -> Skeleton:
-    """Track strands through w and return (domain, codomain, braid).
+    """Track strands through w and return its skeleton.
 
     Two passes, O(len(w) + n).  The first follows the occupant of every
-    position to find the survivors.  The second replays the word with only
-    the survivors placed, so a crossing with a strand deleted later is a
-    plain move, and a crossing of two survivors gets its rank from
-    above[p], the number of survivors at positions before p.
+    position to find the survivors and where each one ends.  The second
+    replays the word with only the survivors placed, so a crossing with a
+    strand deleted later is a plain move, and a crossing of two survivors
+    gets its rank from above[p], the number of survivors at positions
+    before p.
     """
     n = w.n
     occupant: list[int | None] = list(range(1, n + 1))
@@ -107,13 +101,14 @@ def evaluate_skeleton(w: Word) -> Skeleton:
             raise ValueError("skeletons are not defined for xi letters")
         else:
             occupant[p], occupant[p + 1] = occupant[p + 1], occupant[p]
+    mapping: list[int | None] = [None] * n
+    for p, strand in enumerate(occupant):
+        if strand is not None:
+            mapping[strand - 1] = p + 1
     codomain = tuple(
         p + 1 for p, strand in enumerate(occupant) if strand is not None
     )
-    live = [False] * n
-    for strand in occupant:
-        if strand is not None:
-            live[strand - 1] = True
+    live = [end is not None for end in mapping]
     domain = tuple(p + 1 for p in range(n) if live[p])
 
     above = [0] * n
@@ -135,7 +130,9 @@ def evaluate_skeleton(w: Word) -> Skeleton:
         elif b:
             live[p], live[p + 1] = True, False
             above[p + 1] += 1
-    return Skeleton(n, domain, codomain, _crossing_word(len(domain), braid))
+    return Skeleton(
+        n, domain, codomain, _crossing_word(len(domain), braid), tuple(mapping)
+    )
 
 
 def delete_strand(braid: Word, start_pos: int) -> Word:

@@ -291,10 +291,19 @@ def canonical_form(w: Word) -> CanonicalForm:
 
 
 def equal_nf(w1: Word, w2: Word) -> bool:
-    """Word-problem test through canonical forms."""
+    """Word-problem test through canonical forms.
+
+    Equal elements induce the same partial injection, which also fixes
+    domain and codomain, so the strand maps are compared first and the
+    survivors' normal forms only when they agree.
+    """
     if w1.n != w2.n:
         raise ValueError(f"strand-count mismatch: {w1.n} vs {w2.n}")
-    return canonical_form(w1) == canonical_form(w2)
+    s1, s2 = evaluate_skeleton(w1), evaluate_skeleton(w2)
+    if s1.mapping != s2.mapping:
+        return False
+    k = len(s1.domain)
+    return left_greedy_nf(s1.braid, k) == left_greedy_nf(s2.braid, k)
 
 
 def is_i_makanin(w: Word, i: int) -> bool:
@@ -307,10 +316,9 @@ def is_i_makanin(w: Word, i: int) -> bool:
     n = w.n
     if not 1 <= i <= n:
         raise ValueError(f"strand index {i} out of range for n={n}")
-    e_i = Word(n, (epsilon(i),))
     if len(evaluate_skeleton(w).domain) == n:
-        return equal_nf(e_i * w, e_i)
-    if equal_nf(w, e_i):
+        return _deleting_leaves_trivial(w, i)
+    if equal_nf(w, Word(n, (epsilon(i),))):
         return True
     raise ValueError(
         "i-Makanin test needs a full braid or the single-deletion "
@@ -318,11 +326,17 @@ def is_i_makanin(w: Word, i: int) -> bool:
     )
 
 
+def _deleting_leaves_trivial(w: Word, i: int) -> bool:
+    """e_i w == e_i, the i-Makanin condition for a full braid w."""
+    e_i = Word(w.n, (epsilon(i),))
+    return equal_nf(e_i * w, e_i)
+
+
 def is_makanin(w: Word) -> bool:
     """True when w is i-Makanin for every strand i."""
     if len(evaluate_skeleton(w).domain) != w.n:
         raise ValueError("Makanin test needs a full braid")
-    return all(is_i_makanin(w, i) for i in range(1, w.n + 1))
+    return all(_deleting_leaves_trivial(w, i) for i in range(1, w.n + 1))
 
 
 def domain_prefix_letters(domain: tuple[int, ...]) -> tuple:

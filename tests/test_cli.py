@@ -153,6 +153,34 @@ def test_batch_mode_bad_line(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_batch_mode_names_the_failing_line(tmp_path, capsys):
+    batch = tmp_path / "pairs.tsv"
+    # a syntax error on line 3, after one answered pair and a blank line
+    batch.write_text("s1\ts1\n\ne1\ts1 x\ns1\ts1\n")
+    assert run(["eq", "-n", "2", "--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["true"]
+    assert captured.err == "line 3: error: bad token 'x' (at position 3)\n"
+    # an index out of range on a later line
+    batch.write_text("s1\ts1\ne1\te2\ns1 s5\ts1\n")
+    assert run(["eq", "-n", "2", "--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["true", "false"]
+    assert captured.err == (
+        "line 3: error: index of 's5' out of range for n=2 (at position 3)\n"
+    )
+
+
+def test_batch_mode_resource_limit_names_the_line(tmp_path, capsys):
+    batch = tmp_path / "pairs.tsv"
+    batch.write_text("s1\ts1\n" + "s1 s2 " * 40 + "\ts1\n")
+    argv = ["eq", "-n", "3", "--engine", "action", "--max-letters", "50"]
+    assert run(argv + ["--batch", str(batch)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["true"]
+    assert captured.err.startswith("line 2: resource limit: ")
+
+
 def test_python_dash_m_entry_point():
     import subprocess
     import sys

@@ -9,7 +9,12 @@ from conftest import (
     random_word,
 )
 from partialbraid.action import equal_action, tau
-from partialbraid.diagram import _delete_letters, delete_strand, evaluate_skeleton
+from partialbraid.diagram import (
+    Skeleton,
+    _delete_letters,
+    delete_strand,
+    evaluate_skeleton,
+)
 from partialbraid.garside import is_i_makanin, is_makanin, word_to_perm
 from partialbraid.words import (
     EPSILON,
@@ -35,10 +40,21 @@ def test_skeleton_examples():
 
     s = evaluate_skeleton(w("e1 s1", 2))
     assert (s.domain, s.codomain, len(s.braid)) == ((2,), (1,), 0)
+    assert s.mapping == (None, 1)
+
+    s = evaluate_skeleton(w("s1 s2 e2", 3))
+    assert s.mapping == (3, 1, None)
 
     s = evaluate_skeleton(w("e1 e2", 2))
     assert (s.domain, s.codomain) == ((), ())
     assert s.braid == Word(0)
+
+
+def test_skeleton_validates_strand_map():
+    braid = Word(1)
+    assert Skeleton(2, (2,), (1,), braid, (None, 1)).injection().mapping == (None, 1)
+    with pytest.raises(ValueError):
+        Skeleton(2, (2,), (1,), braid, (None, 1, None))
 
 
 def test_skeleton_idempotent_deletion_is_noop():

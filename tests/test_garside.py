@@ -1,9 +1,16 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import random_braid_word, random_word
-from partialbraid.action import equal_action
+from conftest import (
+    position_tracking_map,
+    random_braid_word,
+    random_pure_braid,
+    random_word,
+)
+from partialbraid import garside
+from partialbraid.action import ResourceLimitError, equal_action
 from partialbraid.garside import (
     GarsideNF,
     canonical_form,
@@ -20,7 +27,16 @@ from partialbraid.garside import (
     reconstruct_word,
     word_to_perm,
 )
-from partialbraid.words import Word, delta_word, parse_word, sigma
+from partialbraid.words import (
+    EPSILON,
+    Word,
+    delta_word,
+    epsilon,
+    mirror_inverse,
+    parse_word,
+    sigma,
+    sigma_inv,
+)
 
 
 def w(text, n):
@@ -187,6 +203,124 @@ def test_equal_nf_examples():
     assert equal_nf(w("s1 s2 s1", 3), w("s2 s1 s2", 3))
     with pytest.raises(ValueError):
         equal_nf(w("", 2), w("", 3))
+
+
+def _word_with_deletions(rng, n, max_len, share):
+    letters = []
+    for _ in range(rng.randint(0, max_len)):
+        if rng.random() < share:
+            letters.append(epsilon(rng.randint(1, n)))
+        else:
+            i = rng.randint(1, n - 1)
+            letters.append(sigma(i) if rng.random() < 0.5 else sigma_inv(i))
+    return Word(n, tuple(letters))
+
+
+def _commute(a, b):
+    """Do adjacent letters a, b commute by a far-commutation relation?"""
+    if a.kind == EPSILON and b.kind == EPSILON:
+        return True
+    if a.kind != EPSILON and b.kind != EPSILON:
+        return abs(a.index - b.index) >= 2
+    e, c = (a, b) if a.kind == EPSILON else (b, a)
+    return e.index not in (c.index, c.index + 1)
+
+
+def _rewrite(rng, word, steps):
+    """An equal word: insert free cancellations and braid-relation cycles,
+    swap far-commuting neighbours, double deletions (e_i e_i = e_i)."""
+    n = word.n
+    letters = list(word.letters)
+    for _ in range(steps):
+        move = rng.randrange(4)
+        pos = rng.randint(0, len(letters))
+        if move == 0:
+            i = rng.randint(1, n - 1)
+            letters[pos:pos] = rng.choice(
+                [[sigma(i), sigma_inv(i)], [sigma_inv(i), sigma(i)]]
+            )
+        elif move == 1 and n >= 3:
+            i = rng.randint(1, n - 2)
+            letters[pos:pos] = [sigma(i), sigma(i + 1), sigma(i),
+                                sigma_inv(i + 1), sigma_inv(i), sigma_inv(i + 1)]
+        elif move == 2 and pos + 1 < len(letters):
+            a, b = letters[pos], letters[pos + 1]
+            if _commute(a, b):
+                letters[pos], letters[pos + 1] = b, a
+        elif move == 3 and pos < len(letters) and letters[pos].kind == EPSILON:
+            letters.insert(pos, letters[pos])
+    return Word(n, tuple(letters))
+
+
+def test_equal_nf_strand_map_exit_differential(monkeypatch):
+    # seeded: 1,320 pairs, n = 2..12, 0-30% deletions; equal by rewriting,
+    # equal strand maps (w against w s_i s_i, pure-braid conjugates), and
+    # strand maps differing in domain, codomain or permutation
+    rng = random.Random(0xE0A1)
+    nf_calls = []
+    real_nf = garside.left_greedy_nf
+    monkeypatch.setattr(
+        garside,
+        "left_greedy_nf",
+        lambda *args: nf_calls.append(1) or real_nf(*args),
+    )
+    # pairs per (branch taken, verdict); the strand-map exit only says False
+    seen = {
+        ("strand map", False): 0,
+        ("normal form", False): 0,
+        ("normal form", True): 0,
+    }
+    oracle_checked = cap_hits = 0
+    for n in range(2, 13):
+        for k in range(120):
+            share = rng.uniform(0.0, 0.3)
+            w1 = _word_with_deletions(rng, n, 3 * n, share)
+            kind = k % 6
+            if kind == 0:
+                w2 = _rewrite(rng, w1, rng.randint(1, 8))
+            elif kind == 1:
+                i = rng.randint(1, n - 1)
+                w2 = w1 * Word(n, (sigma(i), sigma(i)))
+            elif kind == 2:
+                p = random_pure_braid(rng, n, 2 * n)
+                w2 = p * w1 * mirror_inverse(p)
+            elif kind == 3:
+                w2 = w1 * Word(n, (epsilon(rng.randint(1, n)),))
+            elif kind == 4:
+                w2 = w1 * Word(n, (sigma(rng.randint(1, n - 1)),))
+            else:
+                w2 = _word_with_deletions(rng, n, 3 * n, share)
+            del nf_calls[:]
+            got = equal_nf(w1, w2)
+            early = not nf_calls
+            assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
+            if early:
+                assert not got
+                assert position_tracking_map(w1) != position_tracking_map(w2)
+            else:
+                assert position_tracking_map(w1) == position_tracking_map(w2)
+            seen["strand map" if early else "normal form", got] += 1
+            if kind == 0:
+                assert got, (str(w1), str(w2))
+            if kind == 1:
+                ends = set(position_tracking_map(w1).values())
+                assert got == (i not in ends or i + 1 not in ends), (str(w1), i)
+            if n <= 5:
+                try:
+                    expected = equal_action(w1, w2, max_letters=20_000)
+                except ResourceLimitError:
+                    cap_hits += 1
+                else:
+                    oracle_checked += 1
+                    assert got == expected, (str(w1), str(w2))
+    print(
+        f"equal_nf: {seen['strand map', False]} pairs unequal on strand maps; "
+        f"by normal forms {seen['normal form', True]} equal and "
+        f"{seen['normal form', False]} unequal; action oracle checked "
+        f"{oracle_checked}, {cap_hits} hit the letter cap"
+    )
+    assert all(seen.values()), seen
+    assert oracle_checked > 0
 
 
 def test_reconstruct_word_examples():
