@@ -14,13 +14,12 @@ longer reaches both planes is discarded from a diagram.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from typing import Optional
 
 from . import freegroup
 from .freegroup import FreeWord, ResourceLimitError
-from .words import EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word
+from .words import EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word, _Frozen
 
 __all__ = [
     "PartialEndo",
@@ -39,8 +38,7 @@ __all__ = [
 Images = tuple[Optional[FreeWord], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class PartialEndo:
+class PartialEndo(_Frozen):
     """A partial endomorphism x_i -> w_i^-1 x_{a(i)} w_i of a free group.
 
     images[i-1] is the reduced image of x_i, or None outside the domain.
@@ -48,12 +46,13 @@ class PartialEndo:
     generators; validate() checks all of that.
     """
 
-    n: int
-    images: Images
+    __slots__ = ("n", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.n:
-            raise ValueError(f"expected {self.n} images, got {len(self.images)}")
+    def __init__(self, n: int, images: Images):
+        if len(images) != n:
+            raise ValueError(f"expected {n} images, got {len(images)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "images", images)
 
     @staticmethod
     def identity(n: int) -> PartialEndo:
@@ -178,21 +177,21 @@ def equal_action(
     return evaluate(w1, max_letters).images == evaluate(w2, max_letters).images
 
 
-@dataclasses.dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(_Frozen):
     """A partial injection of {1..n}; mapping[i-1] is the target of i or None."""
 
-    n: int
-    mapping: tuple[Optional[int], ...]
+    __slots__ = ("n", "mapping")
 
-    def __post_init__(self):
-        if len(self.mapping) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(self.mapping)}")
-        targets = [j for j in self.mapping if j is not None]
-        if any(not 1 <= j <= self.n for j in targets):
+    def __init__(self, n: int, mapping: tuple[Optional[int], ...]):
+        if len(mapping) != n:
+            raise ValueError(f"expected {n} entries, got {len(mapping)}")
+        targets = [j for j in mapping if j is not None]
+        if any(not 1 <= j <= n for j in targets):
             raise ValueError("targets out of range")
         if len(set(targets)) != len(targets):
             raise ValueError("mapping is not injective")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mapping", mapping)
 
     @staticmethod
     def identity(n: int) -> PartialInjection:
@@ -237,13 +236,15 @@ GROUP_CLASS = "group"
 EPSILON_CLASS = "epsilon"
 
 
-@dataclasses.dataclass(frozen=True)
-class AbelianClass:
+class AbelianClass(_Frozen):
     """Image in the commutative quotient: an exponent sum for honest braids,
     one absorbing class for anything with a deleted strand."""
 
-    kind: str
-    exponent_sum: int = 0
+    __slots__ = ("kind", "exponent_sum")
+
+    def __init__(self, kind: str, exponent_sum: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "exponent_sum", exponent_sum)
 
 
 def abelian_invariant(w: Word) -> AbelianClass:

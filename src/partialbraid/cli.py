@@ -9,7 +9,6 @@ cap exits 3.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable
 
@@ -104,9 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(payload: dict) -> str:
+    import json  # only JSON output pays for loading it
+
+    return json.dumps(payload, sort_keys=True)
+
+
 def _emit(args, text: str, payload: dict) -> None:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(_json(payload))
     else:
         print(text)
 
@@ -307,15 +312,14 @@ def _cmd_verify(args) -> int:
             print(f"{status} {rel.tag}: {rel.left or '1'} == {rel.right or '1'}")
     if args.format == "json":
         print(
-            json.dumps(
+            _json(
                 {
                     "suite": suite,
                     "n": args.n,
                     "engine": engine,
                     "relations": rows,
                     "failed": failures,
-                },
-                sort_keys=True,
+                }
             )
         )
     else:

@@ -9,14 +9,13 @@ together with every crossing it was involved in.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import action
-from .words import EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word, sigma, sigma_inv
+from .words import (
+    EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word, _Frozen, sigma, sigma_inv
+)
 
 
-@dataclasses.dataclass(frozen=True)
-class Skeleton:
+class Skeleton(_Frozen):
     """(domain, codomain, underlying braid) of a partial braid.
 
     domain lists the surviving strands by start position, codomain their
@@ -26,21 +25,24 @@ class Skeleton:
     when it is deleted: the partial injection the word induces.
     """
 
-    n: int
-    domain: tuple[int, ...]
-    codomain: tuple[int, ...]
-    braid: Word
-    mapping: tuple[int | None, ...]
+    __slots__ = ("n", "domain", "codomain", "braid", "mapping")
 
-    def __post_init__(self):
-        if len(self.domain) != len(self.codomain):
+    def __init__(
+        self, n: int, domain: tuple, codomain: tuple, braid: Word, mapping: tuple
+    ):
+        if len(domain) != len(codomain):
             raise ValueError("domain and codomain sizes differ")
-        if len(self.mapping) != self.n:
+        if len(mapping) != n:
             raise ValueError("strand map has the wrong length")
-        if self.braid.n != len(self.domain):
+        if braid.n != len(domain):
             raise ValueError("underlying braid has the wrong strand count")
-        if any(letter.kind not in (SIGMA, SIGMA_INV) for letter in self.braid):
+        if any(x.kind not in (SIGMA, SIGMA_INV) for x in set(braid.letters)):
             raise ValueError("underlying braid must be crossing-only")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "mapping", mapping)
 
     def injection(self) -> action.PartialInjection:
         """The partial injection the skeleton induces: each domain element

@@ -16,13 +16,12 @@ The Makanin tests are decided here too, by their definition through it.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .diagram import evaluate_skeleton
 from .words import (
     SIGMA,
     SIGMA_INV,
     Word,
+    _Frozen,
     delta_word,
     epsilon,
     epsilon_block,
@@ -178,25 +177,25 @@ def _normalize(factors: list[Perm], k: int) -> tuple[int, tuple[Perm, ...]]:
     return power, tuple(fs)
 
 
-@dataclasses.dataclass(frozen=True)
-class GarsideNF:
+class GarsideNF(_Frozen):
     """Left normal form of a braid on k strands: half-twist^inf · factors."""
 
-    k: int
-    inf: int
-    factors: tuple[Perm, ...]
+    __slots__ = ("k", "inf", "factors")
 
-    def __post_init__(self):
-        if self.k < 2 and self.inf != 0:
+    def __init__(self, k: int, inf: int, factors: tuple[Perm, ...]):
+        if k < 2 and inf != 0:
             raise ValueError("the half-twist is trivial below two strands")
-        ident = identity_perm(self.k)
-        half_twist = longest_perm(self.k)
-        for a in self.factors:
+        ident = identity_perm(k)
+        half_twist = longest_perm(k)
+        for a in factors:
             if a == ident or a == half_twist:
                 raise ValueError("factors exclude the identity and the half-twist")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if not left_weighted(a, b):
                 raise ValueError("factor sequence is not left-greedy")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "inf", inf)
+        object.__setattr__(self, "factors", factors)
 
     def to_word(self, n: int | None = None) -> Word:
         if n is None:
@@ -205,12 +204,12 @@ class GarsideNF:
             return Word(n)
         twist = delta_word(self.k)
         if self.inf >= 0:
-            out = Word(n, twist.letters * self.inf)
+            letters = list(twist.letters * self.inf)
         else:
-            out = Word(n, mirror_inverse(twist).letters * -self.inf)
+            letters = list(mirror_inverse(twist).letters * -self.inf)
         for factor in self.factors:
-            out = out * perm_to_word(factor, n)
-        return out
+            letters += perm_to_word(factor, n).letters
+        return Word(n, tuple(letters))
 
     def __str__(self) -> str:
         body = ";".join(
@@ -257,18 +256,20 @@ def left_greedy_nf(b: Word, k: int | None = None) -> GarsideNF:
     return GarsideNF(k, total + extra, normal)
 
 
-@dataclasses.dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Frozen):
     """Unique normal form of a partial braid word.
 
     Two words are equal in the monoid exactly when their canonical forms
     are structurally identical.
     """
 
-    n: int
-    domain: tuple[int, ...]
-    codomain: tuple[int, ...]
-    nf: GarsideNF
+    __slots__ = ("n", "domain", "codomain", "nf")
+
+    def __init__(self, n: int, domain: tuple, codomain: tuple, nf: GarsideNF):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "nf", nf)
 
     def __str__(self) -> str:
         dom = ",".join(str(i) for i in self.domain)

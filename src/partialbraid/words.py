@@ -8,7 +8,6 @@ which the corresponding diagrams are stacked top to bottom.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import Iterator
 
@@ -18,6 +17,7 @@ EPSILON = "epsilon"
 XI = "xi"
 
 _KINDS = frozenset((SIGMA, SIGMA_INV, EPSILON, XI))
+_TOKENS = {SIGMA: "s{}", SIGMA_INV: "s{}^-1", EPSILON: "e{}", XI: "t{}"}
 
 
 class WordSyntaxError(ValueError):
@@ -28,33 +28,89 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclasses.dataclass(frozen=True)
-class Letter:
-    kind: str
-    index: int  # 1-based
+class _Frozen:
+    """Immutable value with the fields _fields, by default its __slots__.
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown letter kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
+    Equal to a value of the same class with equal fields, hashed on the
+    field tuple, shown as ``Class(field=value, ...)``, and pickled through
+    the constructor, so unpickling validates (and interns) again.  The
+    field-tuple methods are compiled per class, as dataclasses does them:
+    reading the fields by name costs twice as much per comparison.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__)
+        mine = "".join(f"self.{f}," for f in fields)
+        theirs = mine.replace("self.", "other.")
+        methods: dict = {}
+        exec(
+            f"def _values(self):\n    return ({mine})\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n",
+            methods,
+        )
+        for name in ("_values", "__hash__", "__eq__"):
+            if name not in cls.__dict__:
+                setattr(cls, name, methods[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+def _strands(kind: str, index: int) -> int:
+    """The fewest strands a letter fits on: epsilon_i exists for i <= n,
+    the crossing letters only for i <= n-1."""
+    return index if kind == EPSILON else index + 1
+
+
+class Letter(_Frozen):
+    """One generator.  There is one Letter per (kind, index), so letters
+    compare and hash by identity."""
+
+    __slots__ = ("kind", "index", "_strands")  # index is 1-based
+    _fields = ("kind", "index")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, kind: str, index: int):
+        letter = _LETTERS.get((kind, index))
+        if letter is None:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown letter kind {kind!r}")
+            if index < 1:
+                raise ValueError(f"letter index must be >= 1, got {index}")
+            letter = object.__new__(cls)
+            object.__setattr__(letter, "kind", kind)
+            object.__setattr__(letter, "index", index)
+            object.__setattr__(letter, "_strands", _strands(kind, index))
+            # of two threads racing here, both return the first one stored
+            letter = _LETTERS.setdefault((kind, index), letter)
+        return letter
 
     def fits(self, n: int) -> bool:
-        """Whether the index is in range for ambient strand count n.
-
-        epsilon_i exists for i <= n, the crossing letters only for i <= n-1.
-        """
-        limit = n if self.kind == EPSILON else n - 1
-        return self.index <= limit
+        """Whether the index is in range for ambient strand count n."""
+        return self._strands <= n
 
     def token(self) -> str:
-        if self.kind == SIGMA:
-            return f"s{self.index}"
-        if self.kind == SIGMA_INV:
-            return f"s{self.index}^-1"
-        if self.kind == EPSILON:
-            return f"e{self.index}"
-        return f"t{self.index}"
+        return _TOKENS[self.kind].format(self.index)
+
+
+_LETTERS: dict[tuple[str, int], Letter] = {}
 
 
 def sigma(i: int) -> Letter:
@@ -73,19 +129,17 @@ def xi(i: int) -> Letter:
     return Letter(XI, i)
 
 
-@dataclasses.dataclass(frozen=True)
-class Word:
-    n: int
-    letters: tuple[Letter, ...] = ()
+class Word(_Frozen):
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"strand count must be >= 0, got {self.n}")
-        for letter in self.letters:
-            if not letter.fits(self.n):
-                raise ValueError(
-                    f"letter {letter.token()} out of range for n={self.n}"
-                )
+    def __init__(self, n: int, letters: tuple[Letter, ...] = ()):
+        if n < 0:
+            raise ValueError(f"strand count must be >= 0, got {n}")
+        for letter in letters:
+            if letter._strands > n:
+                raise ValueError(f"letter {letter.token()} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: Word) -> Word:
         if self.n != other.n:
@@ -137,18 +191,22 @@ def parse_word(text: str, n: int) -> Word:
             raise WordSyntaxError(f"bad token {token!r}", start)
         s_idx, inv, e_idx, t_idx = match.groups()
         if s_idx is not None:
-            letter = Letter(SIGMA_INV if inv else SIGMA, _index(s_idx, start))
+            kind, digits = SIGMA_INV if inv else SIGMA, s_idx
         elif e_idx is not None:
-            letter = Letter(EPSILON, _index(e_idx, start))
+            kind, digits = EPSILON, e_idx
         elif t_idx is not None:
-            letter = Letter(XI, _index(t_idx, start))
+            kind, digits = XI, t_idx
         else:
-            letter = Letter(EPSILON, 1)
-        if not letter.fits(n):
+            kind, digits = EPSILON, "1"
+        index = _index(digits, start)
+        # checked before the letter is built, so no out-of-range letter
+        # enters the table
+        if _strands(kind, index) > n:
             raise WordSyntaxError(
-                f"index of {letter.token()!r} out of range for n={n}", start
+                f"index of {_TOKENS[kind].format(index)!r} out of range for n={n}",
+                start,
             )
-        letters.append(letter)
+        letters.append(Letter(kind, index))
     return Word(n, tuple(letters))
 
 
@@ -221,15 +279,15 @@ def shift_word(w: Word, offset: int, new_n: int) -> Word:
     return Word(new_n, letters)
 
 
-@dataclasses.dataclass(frozen=True)
-class RelationPair:
-    left: Word
-    right: Word
-    tag: str
+class RelationPair(_Frozen):
+    __slots__ = ("left", "right", "tag")
 
-    def __post_init__(self):
-        if self.left.n != self.right.n:
+    def __init__(self, left: Word, right: Word, tag: str):
+        if left.n != right.n:
             raise ValueError("relation sides live on different strand counts")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "tag", tag)
 
 
 def _word(n: int, *letters: Letter) -> Word:
@@ -341,32 +399,33 @@ def _ibn_balanced(n: int) -> list[RelationPair]:
 
 
 def _ibn_2gen(n: int) -> list[RelationPair]:
-    e = _word(n, epsilon(1))
-    rels = [RelationPair(e, e * e, "eps-idempotent")]
+    def rel(left: tuple, right: tuple, tag: str) -> RelationPair:
+        return RelationPair(Word(n, left), Word(n, right), tag)
+
+    e = (epsilon(1),)
+    rels = [rel(e, e + e, "eps-idempotent")]
     if n < 2:
         return rels
-    s1 = _word(n, sigma(1))
-    s1i = _word(n, sigma_inv(1))
-    s = Word(n, tuple(sigma(i) for i in range(1, n)))
-    si = mirror_inverse(s)
-    one = _word(n)
+    s1, s1i = (sigma(1),), (sigma_inv(1),)
+    s = tuple(sigma(i) for i in range(1, n))
+    si = tuple(sigma_inv(i) for i in range(n - 1, 0, -1))
     rels += [
-        RelationPair(s1 * s1i, one, "sigma1-unit[lr]"),
-        RelationPair(s1i * s1, one, "sigma1-unit[rl]"),
-        RelationPair(s * si, one, "cycle-unit[lr]"),
-        RelationPair(si * s, one, "cycle-unit[rl]"),
-        RelationPair(e * s1 * e, s1 * e * s1 * e, "eps-sandwich[lhs]"),
-        RelationPair(e * s1 * e, e * s1 * e * s1, "eps-sandwich[rhs]"),
-        RelationPair(e, e * s1 * s1, "eps-absorb[right]"),
-        RelationPair(e, s1 * s1 * e, "eps-absorb[left]"),
+        rel(s1 + s1i, (), "sigma1-unit[lr]"),
+        rel(s1i + s1, (), "sigma1-unit[rl]"),
+        rel(s + si, (), "cycle-unit[lr]"),
+        rel(si + s, (), "cycle-unit[rl]"),
+        rel(e + s1 + e, s1 + e + s1 + e, "eps-sandwich[lhs]"),
+        rel(e + s1 + e, e + s1 + e + s1, "eps-sandwich[rhs]"),
+        rel(e, e + s1 + s1, "eps-absorb[right]"),
+        rel(e, s1 + s1 + e, "eps-absorb[left]"),
     ]
     for i in range(1, n - 1):
-        conj = (s ** i) * s1 * (si ** i)
-        rels.append(RelationPair(e * conj, conj * e, f"eps-commute[i={i}]"))
+        conj = s * i + s1 + si * i
+        rels.append(rel(e + conj, conj + e, f"eps-commute[i={i}]"))
     for i in range(2, n // 2 + 1):
-        conj = (s ** i) * s1 * (si ** i)
-        rels.append(RelationPair(s1 * conj, conj * s1, f"twogen-commute[i={i}]"))
-    rels.append(RelationPair(s ** n, (s * s1) ** (n - 1), "twogen-power"))
+        conj = s * i + s1 + si * i
+        rels.append(rel(s1 + conj, conj + s1, f"twogen-commute[i={i}]"))
+    rels.append(rel(s * n, (s + s1) * (n - 1), "twogen-power"))
     return rels
 
 

@@ -199,3 +199,27 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # start-up cost of every CLI process: JSON is loaded only under
+    # --format json, and the value types need no dataclasses machinery
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; before = set(sys.modules); import partialbraid.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} "
+        "& (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

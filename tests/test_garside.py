@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     position_tracking_map,
@@ -34,6 +35,7 @@ from partialbraid.words import (
     epsilon,
     mirror_inverse,
     parse_word,
+    relation_suite,
     sigma,
     sigma_inv,
 )
@@ -352,6 +354,47 @@ def test_engines_agree(rng):
         w1 = random_word(rng, n, 16)
         w2 = random_word(rng, n, 16)
         assert equal_nf(w1, w2) == equal_action(w1, w2), (str(w1), str(w2))
+
+
+@st.composite
+def _word_pairs(draw):
+    """(w1, w2) on n <= 5 strands, at most 30 letters each, with deletions:
+    half equal by one relation of the balanced presentation inside a
+    random context, half with an independently drawn w2."""
+    n = draw(st.integers(1, 5))
+    pool = [sigma(i) for i in range(1, n)] + [sigma_inv(i) for i in range(1, n)]
+    pool += [epsilon(i) for i in range(1, n + 1)]
+    letters = st.lists(st.sampled_from(pool), max_size=13)
+    rel = draw(st.sampled_from(relation_suite("ibn-balanced", n)))
+    before, after = tuple(draw(letters)), tuple(draw(letters))
+    w1 = Word(n, before + rel.left.letters + after)
+    if draw(st.booleans()):
+        return w1, Word(n, before + rel.right.letters + after)
+    return w1, Word(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=30))))
+
+
+def test_engines_agree_hypothesis():
+    counts = {"checked": 0, "equal": 0, "cap hits": 0}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_word_pairs())
+    def check(pair):
+        w1, w2 = pair
+        for word in pair:
+            form = canonical_form(word)
+            assert canonical_form(reconstruct_word(form)) == form, str(word)
+        try:
+            expected = equal_action(w1, w2, max_letters=20_000)
+        except ResourceLimitError:
+            counts["cap hits"] += 1
+            return
+        assert equal_nf(w1, w2) == expected, (str(w1), str(w2))
+        counts["checked"] += 1
+        counts["equal"] += expected
+
+    check()
+    print(f"hypothesis equal_nf against equal_action: {counts}")
+    assert counts["checked"] > counts["equal"] > 0
 
 
 def test_all_two_strand_elements():

@@ -1,8 +1,18 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
 from partialbraid import words as W
+from partialbraid.action import AbelianClass, PartialEndo, PartialInjection
+from partialbraid.diagram import Skeleton
+from partialbraid.garside import CanonicalForm, GarsideNF
 from partialbraid.words import (
+    Letter,
+    RelationPair,
     Word,
     WordSyntaxError,
     braiding_word,
@@ -159,3 +169,128 @@ def test_suites_share_strand_count():
         for n in (1, 2, 4):
             for rel in relation_suite(suite_id, n):
                 assert rel.left.n == rel.right.n == n
+
+
+def _value_cases():
+    """(class, fields as keyword arguments) for every frozen value type."""
+    word = Word(2, (sigma(1),))
+    nf = GarsideNF(3, 1, ((1, 0, 2),))
+    return [
+        (Letter, {"kind": W.EPSILON, "index": 2}),
+        (Word, {"n": 2, "letters": (sigma(1), epsilon(2))}),
+        (RelationPair, {"left": word, "right": Word(2), "tag": "t"}),
+        (Skeleton, {"n": 2, "domain": (1, 2), "codomain": (1, 2),
+                    "braid": word, "mapping": (2, 1)}),
+        (GarsideNF, {"k": 3, "inf": 1, "factors": ((1, 0, 2),)}),
+        (CanonicalForm, {"n": 3, "domain": (1, 2, 3), "codomain": (1, 2, 3),
+                         "nf": nf}),
+        (PartialEndo, {"n": 2, "images": ((2,), (-2, 1, 2))}),
+        (PartialInjection, {"n": 2, "mapping": (2, None)}),
+        (AbelianClass, {"kind": "group", "exponent_sum": -3}),
+    ]
+
+
+def test_value_types_keep_dataclass_semantics():
+    for cls, fields in _value_cases():
+        value = cls(**fields)
+        twin = cls(*fields.values())
+        assert value == twin and hash(value) == hash(twin), cls
+        shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        assert repr(value) == f"{cls.__name__}({shown})"
+        for name in fields:
+            assert getattr(value, name) == fields[name]
+            with pytest.raises(AttributeError):
+                setattr(value, name, fields[name])
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and hash(copied) == hash(value), cls
+            assert type(copied) is cls
+        if cls is not Letter:  # a Letter subclass still gets the one letter
+            other = type("Other", (cls,), {})(**fields)
+            assert other != value and value != other, cls
+    # the same field values in another class
+    assert Letter(W.EPSILON, 2) != AbelianClass(W.EPSILON, 2)
+    assert Word(0) != PartialEndo(0, ()) != PartialInjection(0, ())
+    assert Word(n=3) == Word(3, ())
+    assert AbelianClass("group") == AbelianClass("group", 0)
+    assert repr(Word(2, (sigma(1),))) == (
+        "Word(n=2, letters=(Letter(kind='sigma', index=1),))"
+    )
+    w = parse_word("s1 e2 s1^-1 e2", 3)
+    assert pickle.loads(pickle.dumps(w)).letters == w.letters
+    assert copy.deepcopy(w).letters == w.letters
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Letter("q", 1), "unknown letter kind 'q'"),
+        (lambda: Letter(W.SIGMA, 0), "letter index must be >= 1, got 0"),
+        (lambda: Word(-1), "strand count must be >= 0, got -1"),
+        (lambda: Word(2, (sigma(1), epsilon(3), sigma(2))),
+         "letter e3 out of range for n=2"),
+        (lambda: RelationPair(Word(1), Word(2), "t"),
+         "relation sides live on different strand counts"),
+        (lambda: Skeleton(2, (1,), (), Word(1), (1, None)),
+         "domain and codomain sizes differ"),
+        (lambda: Skeleton(2, (1,), (1,), Word(1), (1,)),
+         "strand map has the wrong length"),
+        (lambda: Skeleton(2, (1,), (1,), Word(2), (1, None)),
+         "underlying braid has the wrong strand count"),
+        (lambda: Skeleton(2, (1, 2), (1, 2), Word(2, (epsilon(1),)), (1, 2)),
+         "underlying braid must be crossing-only"),
+        (lambda: GarsideNF(1, 1, ()), "the half-twist is trivial below two strands"),
+        (lambda: GarsideNF(3, 0, ((2, 1, 0),)),
+         "factors exclude the identity and the half-twist"),
+        (lambda: GarsideNF(3, 0, ((1, 0, 2), (0, 2, 1))),
+         "factor sequence is not left-greedy"),
+        (lambda: PartialEndo(2, ((1,),)), "expected 2 images, got 1"),
+        (lambda: PartialInjection(2, (1,)), "expected 2 entries, got 1"),
+        (lambda: PartialInjection(2, (3, None)), "targets out of range"),
+        (lambda: PartialInjection(2, (1, 1)), "mapping is not injective"),
+    ],
+)
+def test_value_type_validation_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_letters_are_interned():
+    assert sigma(2) is Letter(W.SIGMA, 2) is Letter(kind=W.SIGMA, index=2)
+    assert parse_word("s2 s2'", 3).letters == (sigma(2), sigma_inv(2))
+    assert parse_word("s2", 3).letters[0] is sigma(2)
+    for copied in (pickle.loads(pickle.dumps(sigma(2))), copy.deepcopy(sigma(2))):
+        assert copied is sigma(2)
+    w = parse_word("s1 e2 t1", 3)
+    assert all(a is b for a, b in zip(copy.deepcopy(w).letters, w.letters))
+    # a token out of range is rejected before its letter is made
+    with pytest.raises(WordSyntaxError, match="'s987654' out of range"):
+        parse_word("s1 s987654", 3)
+    assert (W.SIGMA, 987654) not in W._LETTERS
+
+
+def test_letter_interning_under_threads():
+    # fresh indices, raced by more threads than cores: every thread must
+    # get the one letter per index
+    indices = range(7001, 7301)
+    got = [[] for _ in range(4)]
+
+    def make(out):
+        out.extend(Letter(W.XI, i) for i in indices)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for letters in zip(*got):
+        assert all(x is letters[0] for x in letters)
+    assert len({id(x) for x in got[0]}) == len(indices)
