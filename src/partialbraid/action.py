@@ -15,7 +15,6 @@ longer reaches both planes is discarded from a diagram.
 from __future__ import annotations
 
 import functools
-from typing import Optional
 
 from . import freegroup
 from .freegroup import FreeWord, ResourceLimitError
@@ -35,7 +34,7 @@ __all__ = [
     "abelian_invariant",
 ]
 
-Images = tuple[Optional[FreeWord], ...]
+Images = tuple[FreeWord | None, ...]
 
 
 class PartialEndo(_Frozen):
@@ -58,10 +57,7 @@ class PartialEndo(_Frozen):
     def identity(n: int) -> PartialEndo:
         return PartialEndo(n, _identity_images(n))
 
-    def domain(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, img in enumerate(self.images) if img is not None)
-
-    def index_map(self) -> tuple[Optional[int], ...]:
+    def index_map(self) -> tuple[int | None, ...]:
         """The partial injection i -> a(i), read from the image cores."""
         return tuple(
             img[len(img) // 2] if img is not None else None for img in self.images
@@ -108,7 +104,7 @@ def _identity_images(n: int) -> Images:
 
 @functools.lru_cache(maxsize=None)
 def _letter_images(kind: str, index: int, n: int) -> Images:
-    base: list[Optional[FreeWord]] = [(i,) for i in range(1, n + 1)]
+    base: list[FreeWord | None] = [(i,) for i in range(1, n + 1)]
     i = index
     if kind == SIGMA:
         base[i - 1] = (i + 1,)
@@ -132,7 +128,7 @@ def letter_endo(letter: Letter, n: int) -> PartialEndo:
 
 
 def _compose_images(first: Images, second: Images, max_letters: int) -> Images:
-    mapped: list[Optional[FreeWord]] = []
+    mapped: list[FreeWord | None] = []
     for img in first:
         if img is None:
             mapped.append(None)
@@ -182,7 +178,7 @@ class PartialInjection(_Frozen):
 
     __slots__ = ("n", "mapping")
 
-    def __init__(self, n: int, mapping: tuple[Optional[int], ...]):
+    def __init__(self, n: int, mapping: tuple[int | None, ...]):
         if len(mapping) != n:
             raise ValueError(f"expected {n} entries, got {len(mapping)}")
         targets = [j for j in mapping if j is not None]
@@ -198,7 +194,7 @@ class PartialInjection(_Frozen):
         return PartialInjection(n, tuple(range(1, n + 1)))
 
     def inverse(self) -> PartialInjection:
-        inv: list[Optional[int]] = [None] * self.n
+        inv: list[int | None] = [None] * self.n
         for i, j in enumerate(self.mapping, 1):
             if j is not None:
                 inv[j - 1] = i
@@ -249,21 +245,14 @@ class AbelianClass(_Frozen):
 
 def abelian_invariant(w: Word) -> AbelianClass:
     """Commutative-quotient invariant of a word without welded letters."""
+    kinds = w.kinds()
+    if XI in kinds:
+        raise ValueError("abelian invariant is not defined for xi letters")
+    # crossings only permute strands, so the first deletion always finds a
+    # live strand: a word deletes a strand exactly when it has an e letter
+    if EPSILON in kinds:
+        return AbelianClass(EPSILON_CLASS)
     total = sum(1 for letter in w.letters if letter.kind == SIGMA) - sum(
         1 for letter in w.letters if letter.kind == SIGMA_INV
     )
-    live = [True] * w.n
-    deleted = False
-    for letter in w.letters:
-        if letter.kind == XI:
-            raise ValueError("abelian invariant is not defined for xi letters")
-        i = letter.index - 1
-        if letter.kind == EPSILON:
-            if live[i]:
-                live[i] = False
-                deleted = True
-        else:
-            live[i], live[i + 1] = live[i + 1], live[i]
-    if deleted:
-        return AbelianClass(EPSILON_CLASS)
     return AbelianClass(GROUP_CLASS, total)

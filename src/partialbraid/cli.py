@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import action, diagram, freegroup, garside, monoidal, words
 from .freegroup import ResourceLimitError

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import action
 from .words import (
-    EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word, _Frozen, sigma, sigma_inv
+    EPSILON, SIGMA, SIGMA_INV, XI, Word, _Frozen, epsilon, sigma, sigma_inv
 )
 
 
@@ -53,27 +53,6 @@ class Skeleton(_Frozen):
         dom = ",".join(str(i) for i in self.domain)
         cod = ",".join(str(j) for j in self.codomain)
         return f"I={{{dom}}} J={{{cod}}} braid={self.braid}"
-
-
-def _delete_letters(letters: list[int], start_pos: int) -> list[int]:
-    """Drop one strand from a crossing word given as signed rank indices."""
-    out: list[int] = []
-    p = start_pos
-    for x in letters:
-        r = abs(x)
-        if r == p:
-            p += 1
-        elif r == p - 1:
-            p -= 1
-        elif r > p:
-            out.append(x - 1 if x > 0 else x + 1)
-        else:
-            out.append(x)
-    return out
-
-
-def _signed(letter: Letter) -> int:
-    return letter.index if letter.kind == SIGMA else -letter.index
 
 
 def _crossing_word(k: int, signed: list[int]) -> Word:
@@ -140,13 +119,13 @@ def evaluate_skeleton(w: Word) -> Skeleton:
 def delete_strand(braid: Word, start_pos: int) -> Word:
     """Remove the strand starting at start_pos from a crossing-only word.
 
-    Crossings involving the tracked strand are dropped (moving it), the
-    rest are reindexed below it.
+    This is the underlying braid of epsilon_{start_pos} followed by the
+    word: crossings involving that strand are dropped, the rest are
+    reindexed among the surviving strands.
     """
     m = braid.n
     if any(letter.kind not in (SIGMA, SIGMA_INV) for letter in braid):
         raise ValueError("delete_strand expects a crossing-only word")
     if not 1 <= start_pos <= m:
         raise ValueError(f"start position {start_pos} out of range for {m} strands")
-    signed = _delete_letters([_signed(letter) for letter in braid], start_pos)
-    return _crossing_word(m - 1, signed)
+    return evaluate_skeleton(Word(m, (epsilon(start_pos),) + braid.letters)).braid

@@ -8,7 +8,7 @@ words exponentially); crossing the cap raises ResourceLimitError.
 
 from __future__ import annotations
 
-from typing import Container, Optional, Sequence
+from collections.abc import Container, Sequence
 
 FreeWord = tuple[int, ...]
 
@@ -21,7 +21,7 @@ class ResourceLimitError(RuntimeError):
 
 def substitute_erasing(
     a: FreeWord,
-    images: Sequence[Optional[FreeWord]],
+    images: Sequence[FreeWord | None],
     max_letters: int = MAX_LETTERS,
 ) -> FreeWord:
     """Replace each letter x_i^e by images[i-1]^e, erasing imageless ones.
@@ -73,7 +73,7 @@ def project(a: FreeWord, keep: Container[int]) -> FreeWord:
     return tuple(out)
 
 
-def conjugate_decompose(a: FreeWord) -> Optional[tuple[int, FreeWord]]:
+def conjugate_decompose(a: FreeWord) -> tuple[int, FreeWord] | None:
     """Split a reduced word as w^-1 x_j w, returning (j, w).
 
     The decomposition with the shortest conjugator is unique; in the

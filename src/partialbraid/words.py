@@ -9,7 +9,7 @@ which the corresponding diagrams are stacked top to bottom.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from collections.abc import Callable, Iterator
 
 SIGMA = "sigma"
 SIGMA_INV = "sigma-inverse"
@@ -290,61 +290,78 @@ class RelationPair(_Frozen):
         object.__setattr__(self, "tag", tag)
 
 
-def _word(n: int, *letters: Letter) -> Word:
-    return Word(n, letters)
+def _rel(n: int, left: tuple, right: tuple, tag: str) -> RelationPair:
+    return RelationPair(Word(n, left), Word(n, right), tag)
 
 
 def _artin(n: int) -> list[RelationPair]:
     rels = []
     for i in range(1, n):
         for j in range(i + 2, n):
-            rels.append(RelationPair(
-                _word(n, sigma(i), sigma(j)),
-                _word(n, sigma(j), sigma(i)),
-                f"braid-commute[i={i},j={j}]",
-            ))
+            a, b = sigma(i), sigma(j)
+            rels.append(_rel(n, (a, b), (b, a), f"braid-commute[i={i},j={j}]"))
     for i in range(1, n - 1):
-        rels.append(RelationPair(
-            _word(n, sigma(i), sigma(i + 1), sigma(i)),
-            _word(n, sigma(i + 1), sigma(i), sigma(i + 1)),
-            f"braid-slide[i={i}]",
-        ))
+        a, b = sigma(i), sigma(i + 1)
+        rels.append(_rel(n, (a, b, a), (b, a, b), f"braid-slide[i={i}]"))
     return rels
 
 
 def _sigma_inverses(n: int) -> list[RelationPair]:
     rels = []
     for i in range(1, n):
-        rels.append(RelationPair(
-            _word(n, sigma(i), sigma_inv(i)), _word(n), f"sigma-unit[i={i},lr]"
-        ))
-        rels.append(RelationPair(
-            _word(n, sigma_inv(i), sigma(i)), _word(n), f"sigma-unit[i={i},rl]"
-        ))
+        s, si = sigma(i), sigma_inv(i)
+        rels.append(_rel(n, (s, si), (), f"sigma-unit[i={i},lr]"))
+        rels.append(_rel(n, (si, s), (), f"sigma-unit[i={i},rl]"))
     return rels
+
+
+def _involutions(n: int, x: Callable[[int], Letter], name: str) -> list[RelationPair]:
+    """x_i x_i = 1 for the crossing letter x (sigma or xi)."""
+    return [_rel(n, (x(i), x(i)), (), f"{name}[i={i}]") for i in range(1, n)]
+
+
+def _eps_moves(
+    n: int, x: Callable[[int], Letter], name: str
+) -> tuple[list[RelationPair], list[list[RelationPair]]]:
+    """Deletions against the crossing letter x (sigma or xi).
+
+    Returns the far commutations e_j x_i = x_i e_j (|i-j| > 1), and for
+    each i the six local moves: slide-down, slide-up, then absorb and
+    pair, each of those two with its swap.
+    """
+    far = []
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            if abs(j - i) > 1:
+                e, c = epsilon(j), x(i)
+                far.append(_rel(n, (e, c), (c, e), f"{name}-commute[i={i},j={j}]"))
+    local = []
+    for i in range(1, n):
+        e, f, c = epsilon(i), epsilon(i + 1), x(i)
+        local.append([
+            _rel(n, (e, c), (c, f), f"{name}-slide-down[i={i}]"),
+            _rel(n, (f, c), (c, e), f"{name}-slide-up[i={i}]"),
+            _rel(n, (f, c, c), (c, c, f), f"{name}-absorb[i={i},swap]"),
+            _rel(n, (f, c, c), (f,), f"{name}-absorb[i={i}]"),
+            _rel(n, (e, f, c), (c, e, f), f"{name}-pair[i={i},swap]"),
+            _rel(n, (e, f, c), (e, f), f"{name}-pair[i={i}]"),
+        ])
+    return far, local
 
 
 def _eps1_relations(n: int) -> list[RelationPair]:
     """Relations of the one-idempotent presentation (epsilon = e1)."""
     e, s1 = epsilon(1), sigma(1)
-    rels = [RelationPair(_word(n, e), _word(n, e, e), "eps-idempotent")]
+    rels = [_rel(n, (e,), (e, e), "eps-idempotent")]
     if n >= 2:
-        rels.append(RelationPair(
-            _word(n, e, s1, e), _word(n, s1, e, s1, e), "eps-sandwich[lhs]"
-        ))
-        rels.append(RelationPair(
-            _word(n, e, s1, e), _word(n, e, s1, e, s1), "eps-sandwich[rhs]"
-        ))
-        rels.append(RelationPair(
-            _word(n, e), _word(n, e, s1, s1), "eps-absorb[right]"
-        ))
-        rels.append(RelationPair(
-            _word(n, e), _word(n, s1, s1, e), "eps-absorb[left]"
-        ))
+        rels += [
+            _rel(n, (e, s1, e), (s1, e, s1, e), "eps-sandwich[lhs]"),
+            _rel(n, (e, s1, e), (e, s1, e, s1), "eps-sandwich[rhs]"),
+            _rel(n, (e,), (e, s1, s1), "eps-absorb[right]"),
+            _rel(n, (e,), (s1, s1, e), "eps-absorb[left]"),
+        ]
     for i in range(2, n):
-        rels.append(RelationPair(
-            _word(n, e, sigma(i)), _word(n, sigma(i), e), f"eps-commute[i={i}]"
-        ))
+        rels.append(_rel(n, (e, sigma(i)), (sigma(i), e), f"eps-commute[i={i}]"))
     return rels
 
 
@@ -353,177 +370,77 @@ def _ibn_eps(n: int) -> list[RelationPair]:
 
 
 def _ibn_balanced(n: int) -> list[RelationPair]:
-    rels = _sigma_inverses(n)
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            if abs(j - i) > 1:
-                rels.append(RelationPair(
-                    _word(n, epsilon(j), sigma(i)),
-                    _word(n, sigma(i), epsilon(j)),
-                    f"eps-commute[i={i},j={j}]",
-                ))
-    for i in range(1, n):
-        rels.append(RelationPair(
-            _word(n, epsilon(i), sigma(i)),
-            _word(n, sigma(i), epsilon(i + 1)),
-            f"eps-slide-down[i={i}]",
-        ))
-        rels.append(RelationPair(
-            _word(n, epsilon(i + 1), sigma(i)),
-            _word(n, sigma(i), epsilon(i)),
-            f"eps-slide-up[i={i}]",
-        ))
-    for i in range(1, n + 1):
-        rels.append(RelationPair(
-            _word(n, epsilon(i)), _word(n, epsilon(i), epsilon(i)),
-            f"eps-idempotent[i={i}]",
-        ))
-    for i in range(1, n):
-        square = _word(n, epsilon(i + 1), sigma(i), sigma(i))
-        rels.append(RelationPair(
-            square, _word(n, sigma(i), sigma(i), epsilon(i + 1)),
-            f"eps-absorb[i={i},swap]",
-        ))
-        rels.append(RelationPair(
-            square, _word(n, epsilon(i + 1)), f"eps-absorb[i={i}]"
-        ))
-        pair = _word(n, epsilon(i), epsilon(i + 1), sigma(i))
-        rels.append(RelationPair(
-            pair, _word(n, sigma(i), epsilon(i), epsilon(i + 1)),
-            f"eps-pair[i={i},swap]",
-        ))
-        rels.append(RelationPair(
-            pair, _word(n, epsilon(i), epsilon(i + 1)), f"eps-pair[i={i}]"
-        ))
-    return rels + _artin(n)
+    far, local = _eps_moves(n, sigma, "eps")
+    idempotents = [
+        _rel(n, (epsilon(i),), (epsilon(i), epsilon(i)), f"eps-idempotent[i={i}]")
+        for i in range(1, n + 1)
+    ]
+    # the idempotents come between the slides and the absorb and pair moves
+    return (
+        _sigma_inverses(n) + far
+        + [rel for moves in local for rel in moves[:2]]
+        + idempotents
+        + [rel for moves in local for rel in moves[2:]]
+        + _artin(n)
+    )
 
 
 def _ibn_2gen(n: int) -> list[RelationPair]:
-    def rel(left: tuple, right: tuple, tag: str) -> RelationPair:
-        return RelationPair(Word(n, left), Word(n, right), tag)
-
-    e = (epsilon(1),)
-    rels = [rel(e, e + e, "eps-idempotent")]
+    # the one-idempotent relations, with eps-commute restated below for
+    # sigma_{i+1} = s^i sigma_1 s^-i, s the cycle sigma_1 ... sigma_{n-1}
+    idempotent, *eps1 = [
+        rel for rel in _eps1_relations(n) if not rel.tag.startswith("eps-commute")
+    ]
     if n < 2:
-        return rels
-    s1, s1i = (sigma(1),), (sigma_inv(1),)
+        return [idempotent]
+    e, s1, s1i = (epsilon(1),), (sigma(1),), (sigma_inv(1),)
     s = tuple(sigma(i) for i in range(1, n))
     si = tuple(sigma_inv(i) for i in range(n - 1, 0, -1))
-    rels += [
-        rel(s1 + s1i, (), "sigma1-unit[lr]"),
-        rel(s1i + s1, (), "sigma1-unit[rl]"),
-        rel(s + si, (), "cycle-unit[lr]"),
-        rel(si + s, (), "cycle-unit[rl]"),
-        rel(e + s1 + e, s1 + e + s1 + e, "eps-sandwich[lhs]"),
-        rel(e + s1 + e, e + s1 + e + s1, "eps-sandwich[rhs]"),
-        rel(e, e + s1 + s1, "eps-absorb[right]"),
-        rel(e, s1 + s1 + e, "eps-absorb[left]"),
+    rels = [
+        idempotent,
+        _rel(n, s1 + s1i, (), "sigma1-unit[lr]"),
+        _rel(n, s1i + s1, (), "sigma1-unit[rl]"),
+        _rel(n, s + si, (), "cycle-unit[lr]"),
+        _rel(n, si + s, (), "cycle-unit[rl]"),
+        *eps1,
     ]
     for i in range(1, n - 1):
         conj = s * i + s1 + si * i
-        rels.append(rel(e + conj, conj + e, f"eps-commute[i={i}]"))
+        rels.append(_rel(n, e + conj, conj + e, f"eps-commute[i={i}]"))
     for i in range(2, n // 2 + 1):
         conj = s * i + s1 + si * i
-        rels.append(rel(s1 + conj, conj + s1, f"twogen-commute[i={i}]"))
-    rels.append(rel(s * n, (s + s1) * (n - 1), "twogen-power"))
+        rels.append(_rel(n, s1 + conj, conj + s1, f"twogen-commute[i={i}]"))
+    rels.append(_rel(n, s * n, (s + s1) * (n - 1), "twogen-power"))
     return rels
 
 
 def _sym_inverse(n: int) -> list[RelationPair]:
-    rels = _artin(n)
-    for i in range(1, n):
-        rels.append(RelationPair(
-            _word(n, sigma(i), sigma(i)), _word(n), f"involution[i={i}]"
-        ))
-    e, s1 = epsilon(1), sigma(1)
-    rels.append(RelationPair(_word(n, e), _word(n, e, e), "eps-idempotent"))
-    if n >= 2:
-        rels.append(RelationPair(
-            _word(n, e, s1, e), _word(n, s1, e, s1, e), "eps-sandwich[lhs]"
-        ))
-        rels.append(RelationPair(
-            _word(n, e, s1, e), _word(n, e, s1, e, s1), "eps-sandwich[rhs]"
-        ))
-    for i in range(2, n):
-        rels.append(RelationPair(
-            _word(n, e, sigma(i)), _word(n, sigma(i), e), f"eps-commute[i={i}]"
-        ))
-    return rels
+    # the involutions make the two absorbing relations redundant
+    eps1 = [
+        rel for rel in _eps1_relations(n) if not rel.tag.startswith("eps-absorb")
+    ]
+    return _artin(n) + _involutions(n, sigma, "involution") + eps1
 
 
 def _ibp_mixed(n: int) -> list[RelationPair]:
-    rels = []
-    for i in range(1, n):
-        rels.append(RelationPair(
-            _word(n, xi(i), xi(i)), _word(n), f"xi-involution[i={i}]"
-        ))
+    rels = _involutions(n, xi, "xi-involution")
     for i in range(1, n):
         for j in range(i + 2, n):
-            rels.append(RelationPair(
-                _word(n, xi(i), xi(j)), _word(n, xi(j), xi(i)),
-                f"xi-commute[i={i},j={j}]",
-            ))
-            rels.append(RelationPair(
-                _word(n, sigma(i), xi(j)), _word(n, xi(j), sigma(i)),
-                f"mixed-commute[i={i},j={j}]",
-            ))
-            rels.append(RelationPair(
-                _word(n, sigma(j), xi(i)), _word(n, xi(i), sigma(j)),
-                f"mixed-commute[i={j},j={i}]",
-            ))
+            s_i, s_j, x_i, x_j = sigma(i), sigma(j), xi(i), xi(j)
+            rels += [
+                _rel(n, (x_i, x_j), (x_j, x_i), f"xi-commute[i={i},j={j}]"),
+                _rel(n, (s_i, x_j), (x_j, s_i), f"mixed-commute[i={i},j={j}]"),
+                _rel(n, (s_j, x_i), (x_i, s_j), f"mixed-commute[i={j},j={i}]"),
+            ]
     for i in range(1, n - 1):
-        rels.append(RelationPair(
-            _word(n, xi(i), xi(i + 1), xi(i)),
-            _word(n, xi(i + 1), xi(i), xi(i + 1)),
-            f"xi-slide[i={i}]",
-        ))
-        rels.append(RelationPair(
-            _word(n, xi(i), xi(i + 1), sigma(i)),
-            _word(n, sigma(i + 1), xi(i), xi(i + 1)),
-            f"mixed-slide[xi,i={i}]",
-        ))
-        rels.append(RelationPair(
-            _word(n, sigma(i), sigma(i + 1), xi(i)),
-            _word(n, xi(i + 1), sigma(i), sigma(i + 1)),
-            f"mixed-slide[sigma,i={i}]",
-        ))
-    # epsilon against xi: the same pattern as against sigma
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            if abs(j - i) > 1:
-                rels.append(RelationPair(
-                    _word(n, epsilon(j), xi(i)),
-                    _word(n, xi(i), epsilon(j)),
-                    f"eps-xi-commute[i={i},j={j}]",
-                ))
-    for i in range(1, n):
-        rels.append(RelationPair(
-            _word(n, epsilon(i), xi(i)),
-            _word(n, xi(i), epsilon(i + 1)),
-            f"eps-xi-slide-down[i={i}]",
-        ))
-        rels.append(RelationPair(
-            _word(n, epsilon(i + 1), xi(i)),
-            _word(n, xi(i), epsilon(i)),
-            f"eps-xi-slide-up[i={i}]",
-        ))
-        square = _word(n, epsilon(i + 1), xi(i), xi(i))
-        rels.append(RelationPair(
-            square, _word(n, xi(i), xi(i), epsilon(i + 1)),
-            f"eps-xi-absorb[i={i},swap]",
-        ))
-        rels.append(RelationPair(
-            square, _word(n, epsilon(i + 1)), f"eps-xi-absorb[i={i}]"
-        ))
-        pair = _word(n, epsilon(i), epsilon(i + 1), xi(i))
-        rels.append(RelationPair(
-            pair, _word(n, xi(i), epsilon(i), epsilon(i + 1)),
-            f"eps-xi-pair[i={i},swap]",
-        ))
-        rels.append(RelationPair(
-            pair, _word(n, epsilon(i), epsilon(i + 1)), f"eps-xi-pair[i={i}]"
-        ))
-    return rels + _ibn_balanced(n)
+        x, y, s, t = xi(i), xi(i + 1), sigma(i), sigma(i + 1)
+        rels += [
+            _rel(n, (x, y, x), (y, x, y), f"xi-slide[i={i}]"),
+            _rel(n, (x, y, s), (t, x, y), f"mixed-slide[xi,i={i}]"),
+            _rel(n, (s, t, x), (y, s, t), f"mixed-slide[sigma,i={i}]"),
+        ]
+    far, local = _eps_moves(n, xi, "eps-xi")
+    return rels + far + [rel for moves in local for rel in moves] + _ibn_balanced(n)
 
 
 _SUITES = {

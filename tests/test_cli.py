@@ -214,12 +214,25 @@ def test_import_loads_no_dataclasses_inspect_or_json():
         "print(sorted({'dataclasses', 'inspect', 'json'} "
         "& (set(sys.modules) - before)))"
     )
+    env = {"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         cwd=root,
-        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # annotations need no typing: without site, which may preload it,
+    # importing the CLI must not load it
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, partialbraid.cli; "
+         "print('typing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -11,7 +11,6 @@ from conftest import (
 from partialbraid.action import equal_action, tau
 from partialbraid.diagram import (
     Skeleton,
-    _delete_letters,
     delete_strand,
     evaluate_skeleton,
 )
@@ -70,6 +69,23 @@ def test_skeleton_crossing_over_empty_position():
 def test_skeleton_rejects_xi():
     with pytest.raises(ValueError):
         evaluate_skeleton(w("t1", 2))
+
+
+def _delete_letters(letters: list[int], start_pos: int) -> list[int]:
+    """Drop one strand from a crossing word given as signed rank indices."""
+    out: list[int] = []
+    p = start_pos
+    for x in letters:
+        r = abs(x)
+        if r == p:
+            p += 1
+        elif r == p - 1:
+            p -= 1
+        elif r > p:
+            out.append(x - 1 if x > 0 else x + 1)
+        else:
+            out.append(x)
+    return out
 
 
 def _reference_skeleton(word):
@@ -158,6 +174,18 @@ def test_delete_strand_examples():
     assert delete_strand(w("s1 s1", 2), 1) == Word(1)
     assert str(delete_strand(w("s1 s2 s1", 3), 2)) == "s1"
     assert delete_strand(Word(3), 2) == Word(2)
+
+
+def test_delete_strand_matches_reference():
+    # seeded: 1,200 crossing words, every start position
+    rng = random.Random(0xDE1)
+    for m in range(1, 13):
+        for _ in range(100):
+            braid = random_braid_word(rng, m, 4 * m)
+            for p in range(1, m + 1):
+                out = delete_strand(braid, p)
+                assert out.n == m - 1
+                assert _signed_ranks(out) == _delete_letters(_signed_ranks(braid), p)
 
 
 def test_delete_strand_tracks_signs():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import sys
 import threading
@@ -169,6 +170,52 @@ def test_suites_share_strand_count():
         for n in (1, 2, 4):
             for rel in relation_suite(suite_id, n):
                 assert rel.left.n == rel.right.n == n
+
+
+# relation count at n = 1..8 and a SHA-256 over the "tag\tleft\tright" lines
+# of n = 1..8 in order, recorded before the suites were built from shared
+# relation families; any dropped, reordered or retagged relation shows here
+_PINNED_SUITES = {
+    "artin": (
+        (0, 0, 1, 3, 6, 10, 15, 21),
+        "f6b87aaf6157d8f741b9214683a51a9e93779bc209047d89b9d1cb0b41ea3f78",
+    ),
+    "ibn-eps": (
+        (1, 7, 11, 16, 22, 29, 37, 46),
+        "e11fcb6e44e9d79a4b1caaf8631d338a4757ac8fb815e2a894b3fe6d1b2fa855",
+    ),
+    "ibn-balanced": (
+        (1, 10, 21, 35, 52, 72, 95, 121),
+        "0eebaebf08e9d70d976cbb2cb9e013a705ab40478ab91cab4034eec1ed6220cb",
+    ),
+    "ibn-2gen": (
+        (1, 10, 11, 13, 14, 16, 17, 19),
+        "a84138acf9190a60b5be79cd6cd157fcbd7994e86134940429f205709e1156bd",
+    ),
+    "sym-inverse": (
+        (1, 4, 7, 11, 16, 22, 29, 37),
+        "e58549f1f9bb97207bdff324f8e4c0a9eef5bb6f75efa03cbe9e50de116cbe86",
+    ),
+    "ibp-mixed": (
+        (1, 17, 39, 69, 107, 153, 207, 269),
+        "7b528213aaf818b1aa8732cd44323d665885f908e3f0ea7f89457dce981b3997",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(_PINNED_SUITES))
+def test_suite_contents_pinned(suite_id):
+    counts, digest = _PINNED_SUITES[suite_id]
+    lines = hashlib.sha256()
+    for n, count in enumerate(counts, 1):
+        rels = relation_suite(suite_id, n)
+        assert len(rels) == count, n
+        tags = [rel.tag for rel in rels]
+        assert len(set(tags)) == len(tags), n
+        for rel in rels:
+            lines.update(f"{rel.tag}\t{rel.left}\t{rel.right}\n".encode())
+    assert lines.hexdigest() == digest
+    assert set(_PINNED_SUITES) == set(W.SUITE_IDS)
 
 
 def _value_cases():
