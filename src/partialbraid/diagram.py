@@ -61,18 +61,10 @@ def _crossing_word(k: int, signed: list[int]) -> Word:
     return Word(k, tuple(up[x] if x > 0 else down[-x] for x in signed))
 
 
-def evaluate_skeleton(w: Word) -> Skeleton:
-    """Track strands through w and return its skeleton.
-
-    Two passes, O(len(w) + n).  The first follows the occupant of every
-    position to find the survivors and where each one ends.  The second
-    replays the word with only the survivors placed, so a crossing with a
-    strand deleted later is a plain move, and a crossing of two survivors
-    gets its rank from above[p], the number of survivors at positions
-    before p.
-    """
-    n = w.n
-    occupant: list[int | None] = list(range(1, n + 1))
+def _occupants(w: Word) -> list[int | None]:
+    """First pass: the start strand ending at each position, None where
+    the position ends empty.  Equal lists mean equal partial injections."""
+    occupant: list[int | None] = list(range(1, w.n + 1))
     for letter in w.letters:
         kind = letter.kind
         p = letter.index - 1
@@ -82,6 +74,18 @@ def evaluate_skeleton(w: Word) -> Skeleton:
             raise ValueError("skeletons are not defined for xi letters")
         else:
             occupant[p], occupant[p + 1] = occupant[p + 1], occupant[p]
+    return occupant
+
+
+def _replay(w: Word, occupant: list[int | None]) -> tuple:
+    """Second pass: (mapping, domain, codomain, signed survivor ranks).
+
+    The word is replayed with only the survivors placed, so a crossing
+    with a strand deleted later is a plain move, and a crossing of two
+    survivors gets its rank from above[p], the number of survivors at
+    positions before p, negated for an inverse crossing.
+    """
+    n = w.n
     mapping: list[int | None] = [None] * n
     for p, strand in enumerate(occupant):
         if strand is not None:
@@ -111,8 +115,20 @@ def evaluate_skeleton(w: Word) -> Skeleton:
         elif b:
             live[p], live[p + 1] = True, False
             above[p + 1] += 1
+    return tuple(mapping), domain, codomain, braid
+
+
+def evaluate_skeleton(w: Word) -> Skeleton:
+    """Track strands through w and return its skeleton.
+
+    Two passes, O(len(w) + n): _occupants follows the occupant of every
+    position to find the survivors and where each one ends, and _replay
+    replays the word with only the survivors placed to read off the
+    underlying braid.  Raises ValueError on welded (xi) letters.
+    """
+    mapping, domain, codomain, braid = _replay(w, _occupants(w))
     return Skeleton(
-        n, domain, codomain, _crossing_word(len(domain), braid), tuple(mapping)
+        w.n, domain, codomain, _crossing_word(len(domain), braid), mapping
     )
 
 

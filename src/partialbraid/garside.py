@@ -16,7 +16,8 @@ The Makanin tests are decided here too, by their definition through it.
 
 from __future__ import annotations
 
-from .diagram import evaluate_skeleton
+from .diagram import _crossing_word, _occupants, _replay, evaluate_skeleton
+from .freegroup import project
 from .words import (
     SIGMA,
     SIGMA_INV,
@@ -292,19 +293,35 @@ def canonical_form(w: Word) -> CanonicalForm:
 
 
 def equal_nf(w1: Word, w2: Word) -> bool:
-    """Word-problem test through canonical forms.
+    """Word-problem test, each stage run only when the cheaper ones before
+    it cannot decide.
 
-    Equal elements induce the same partial injection, which also fixes
-    domain and codomain, so the strand maps are compared first and the
-    survivors' normal forms only when they agree.
+    1. Equal elements induce the same partial injection, which also fixes
+       domain and codomain: differing strand maps answer False before
+       either survivor braid is built.
+    2. The braid group is a quotient of the free group on the crossings,
+       so survivor braids that freely reduce to the same word answer True.
+    3. Otherwise the left normal forms of the reduced braids decide.
+
+    Raises ValueError on a strand-count mismatch, then on xi letters in
+    either word.
     """
     if w1.n != w2.n:
         raise ValueError(f"strand-count mismatch: {w1.n} vs {w2.n}")
-    s1, s2 = evaluate_skeleton(w1), evaluate_skeleton(w2)
-    if s1.mapping != s2.mapping:
+    occupant = _occupants(w1)
+    if occupant != _occupants(w2):
         return False
-    k = len(s1.domain)
-    return left_greedy_nf(s1.braid, k) == left_greedy_nf(s2.braid, k)
+    _, domain, _, b1 = _replay(w1, occupant)
+    b2 = _replay(w2, occupant)[3]
+    k = len(domain)
+    # every rank lies in 1..k-1, so projecting onto them only reduces freely
+    ranks = range(1, k)
+    r1, r2 = project(b1, ranks), project(b2, ranks)
+    if r1 == r2:
+        return True
+    return left_greedy_nf(_crossing_word(k, r1), k) == left_greedy_nf(
+        _crossing_word(k, r2), k
+    )
 
 
 def is_i_makanin(w: Word, i: int) -> bool:

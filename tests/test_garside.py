@@ -12,6 +12,7 @@ from conftest import (
 )
 from partialbraid import garside
 from partialbraid.action import ResourceLimitError, equal_action
+from partialbraid.diagram import evaluate_skeleton
 from partialbraid.garside import (
     GarsideNF,
     canonical_form,
@@ -254,21 +255,40 @@ def _rewrite(rng, word, steps):
     return Word(n, tuple(letters))
 
 
+def _freely_reduced(braid):
+    """The letters of a crossing-only word with each adjacent s_i s_i^-1
+    or s_i^-1 s_i cancelled, until none is left."""
+    out = []
+    for letter in braid.letters:
+        if out and out[-1].index == letter.index and out[-1].kind != letter.kind:
+            out.pop()
+        else:
+            out.append(letter)
+    return out
+
+
+def _count_calls(monkeypatch, name):
+    """Patch garside.<name> to record each call in the returned list."""
+    calls = []
+    real = getattr(garside, name)
+    monkeypatch.setattr(
+        garside, name, lambda *args: calls.append(1) or real(*args)
+    )
+    return calls
+
+
 def test_equal_nf_strand_map_exit_differential(monkeypatch):
     # seeded: 1,320 pairs, n = 2..12, 0-30% deletions; equal by rewriting,
     # equal strand maps (w against w s_i s_i, pure-braid conjugates), and
     # strand maps differing in domain, codomain or permutation
     rng = random.Random(0xE0A1)
-    nf_calls = []
-    real_nf = garside.left_greedy_nf
-    monkeypatch.setattr(
-        garside,
-        "left_greedy_nf",
-        lambda *args: nf_calls.append(1) or real_nf(*args),
-    )
-    # pairs per (branch taken, verdict); the strand-map exit only says False
+    replay_calls = _count_calls(monkeypatch, "_replay")
+    nf_calls = _count_calls(monkeypatch, "left_greedy_nf")
+    # pairs per (branch taken, verdict): the strand-map exit only says
+    # False, the reduced-braid exit only True
     seen = {
         ("strand map", False): 0,
+        ("reduced braid", True): 0,
         ("normal form", False): 0,
         ("normal form", True): 0,
     }
@@ -292,16 +312,23 @@ def test_equal_nf_strand_map_exit_differential(monkeypatch):
                 w2 = w1 * Word(n, (sigma(rng.randint(1, n - 1)),))
             else:
                 w2 = _word_with_deletions(rng, n, 3 * n, share)
-            del nf_calls[:]
+            del replay_calls[:], nf_calls[:]
             got = equal_nf(w1, w2)
-            early = not nf_calls
-            assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
-            if early:
-                assert not got
-                assert position_tracking_map(w1) != position_tracking_map(w2)
+            if not replay_calls:
+                branch = "strand map"
+            elif not nf_calls:
+                branch = "reduced braid"
             else:
-                assert position_tracking_map(w1) == position_tracking_map(w2)
-            seen["strand map" if early else "normal form", got] += 1
+                branch = "normal form"
+            assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
+            same_map = position_tracking_map(w1) == position_tracking_map(w2)
+            assert same_map == (branch != "strand map"), (str(w1), str(w2))
+            if branch != "strand map":
+                same_reduced = _freely_reduced(
+                    evaluate_skeleton(w1).braid
+                ) == _freely_reduced(evaluate_skeleton(w2).braid)
+                assert same_reduced == (branch == "reduced braid"), (str(w1), str(w2))
+            seen[branch, got] += 1
             if kind == 0:
                 assert got, (str(w1), str(w2))
             if kind == 1:
@@ -316,13 +343,82 @@ def test_equal_nf_strand_map_exit_differential(monkeypatch):
                     oracle_checked += 1
                     assert got == expected, (str(w1), str(w2))
     print(
-        f"equal_nf: {seen['strand map', False]} pairs unequal on strand maps; "
+        f"equal_nf: {seen['strand map', False]} pairs unequal on strand maps, "
+        f"{seen['reduced braid', True]} equal on freely reduced braids; "
         f"by normal forms {seen['normal form', True]} equal and "
         f"{seen['normal form', False]} unequal; action oracle checked "
         f"{oracle_checked}, {cap_hits} hit the letter cap"
     )
     assert all(seen.values()), seen
     assert oracle_checked > 0
+
+
+def test_equal_nf_error_order():
+    # the strand-count check comes before any letter is looked at
+    with pytest.raises(ValueError, match=r"^strand-count mismatch: 2 vs 3$"):
+        equal_nf(w("t1", 2), w("s1 t2", 3))
+    with pytest.raises(ValueError, match=r"^strand-count mismatch: 3 vs 2$"):
+        equal_nf(w("e1", 3), w("t1", 2))
+    # a welded letter in either word raises, even when the strand maps
+    # already differ on the deletions of the other word
+    for a, b in [
+        ("t1", "s1"),
+        ("s1", "t1"),
+        ("e1", "t1"),
+        ("t1", "e1"),
+        ("e1 e2", "s1 t2"),
+        ("t1 t1", ""),
+    ]:
+        with pytest.raises(
+            ValueError, match=r"^skeletons are not defined for xi letters$"
+        ):
+            equal_nf(w(a, 3), w(b, 3))
+
+
+@st.composite
+def _inserted_pairs(draw):
+    """(w, w', square): w on 2..8 strands with deletions, and w' with
+    s_i s_i^-1, s_i^-1 s_i or (square) s_i s_i inserted somewhere;
+    at most 25 letters."""
+    n = draw(st.integers(2, 8))
+    pool = [sigma(i) for i in range(1, n)] + [sigma_inv(i) for i in range(1, n)]
+    pool += [epsilon(i) for i in range(1, n + 1)]
+    letters = draw(st.lists(st.sampled_from(pool), max_size=23))
+    pos = draw(st.integers(0, len(letters)))
+    i = draw(st.integers(1, n - 1))
+    inserted = draw(
+        st.sampled_from(
+            [(sigma(i), sigma_inv(i)), (sigma_inv(i), sigma(i)), (sigma(i), sigma(i))]
+        )
+    )
+    square = inserted[0] == inserted[1]
+    word = Word(n, tuple(letters))
+    return word, Word(n, tuple(letters[:pos]) + inserted + tuple(letters[pos:])), square
+
+
+def test_equal_nf_free_reduction_hypothesis(monkeypatch):
+    nf_calls = _count_calls(monkeypatch, "left_greedy_nf")
+    counts = {"cancelling": 0, "square equal": 0, "square unequal": 0}
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_inserted_pairs())
+    def check(case):
+        w1, w2, square = case
+        del nf_calls[:]
+        got = equal_nf(w1, w2)
+        decided_early = not nf_calls
+        same_form = canonical_form(w1) == canonical_form(w2)
+        if square:
+            assert got == same_form, (str(w1), str(w2))
+            counts["square equal" if got else "square unequal"] += 1
+        else:
+            # a cancelling pair never needs a normal form
+            assert got and same_form and decided_early, (str(w1), str(w2))
+            counts["cancelling"] += 1
+
+    check()
+    print(f"hypothesis inserted pairs: {counts}")
+    assert all(counts.values()), counts
 
 
 def test_reconstruct_word_examples():
