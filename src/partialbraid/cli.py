@@ -10,14 +10,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
 
 from . import action, diagram, freegroup, garside, monoidal, words
 from .freegroup import ResourceLimitError
-from .words import Word, WordSyntaxError
+from .words import Word
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+
+
+def _letter_cap(text: str) -> int:
+    """--max-letters: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,26 +37,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    def add(verb: str, help_text: str, need_n: bool = True) -> argparse.ArgumentParser:
+    def add(
+        verb: str, help_text: str, handler, need_n: bool = True, capped: bool = False
+    ) -> argparse.ArgumentParser:
+        """A verb bound to its handler; capped verbs can reach the action
+        engine and take its letter cap."""
         sp = sub.add_parser(verb, help=help_text)
+        sp.set_defaults(handler=handler)
         sp.add_argument(
             "-n", dest="n", type=int, required=need_n, help="ambient strand count"
         )
         sp.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
-        sp.add_argument(
-            "--max-letters",
-            type=int,
-            default=freegroup.MAX_LETTERS,
-            help="free-word growth cap for the action engine",
-        )
+        if capped:
+            sp.add_argument(
+                "--max-letters",
+                type=_letter_cap,
+                default=freegroup.MAX_LETTERS,
+                help="free-word growth cap for the action engine",
+            )
         return sp
 
-    sp = add("eval", "partial free-group endomorphism of a word")
+    sp = add("eval", "partial free-group endomorphism of a word", _cmd_eval, capped=True)
     sp.add_argument("word")
 
-    sp = add("eq", "decide equality of two words")
+    sp = add("eq", "decide equality of two words", _cmd_eq, capped=True)
     sp.add_argument("--engine", choices=("action", "garside"), default="garside")
     sp.add_argument(
         "--batch",
@@ -55,48 +71,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("words", nargs="*")
 
-    sp = add("nf", "left-greedy normal form of a crossing-only word")
+    sp = add("nf", "left-greedy normal form of a crossing-only word", _cmd_nf)
     sp.add_argument("word")
 
-    sp = add("canon", "canonical form: strands kept plus normal form")
+    sp = add("canon", "canonical form: strands kept plus normal form", _cmd_canon)
     sp.add_argument("word")
 
-    sp = add("tau", "induced partial injection of strand endpoints")
+    sp = add("tau", "induced partial injection of strand endpoints", _cmd_tau, capped=True)
     sp.add_argument("word")
 
-    sp = add("inv", "monoid inverse (mirror of the word)")
+    sp = add("inv", "monoid inverse (mirror of the word)", _cmd_inv)
     sp.add_argument("word")
 
-    sp = add("makanin", "trivial after deleting any one strand?")
+    sp = add("makanin", "trivial after deleting any one strand?", _cmd_makanin)
     sp.add_argument("word")
 
-    sp = add("imakanin", "trivial after deleting strand i?")
+    sp = add("imakanin", "trivial after deleting strand i?", _cmd_imakanin)
     sp.add_argument("i", type=int)
     sp.add_argument("word")
 
-    sp = add("delete", "remove one strand from a crossing-only word")
+    sp = add("delete", "remove one strand from a crossing-only word", _cmd_delete)
     sp.add_argument("word")
     sp.add_argument("start_pos", type=int)
 
-    sp = add("mu", "place two words side by side (-n strands, then -m)")
+    sp = add("mu", "place two words side by side (-n strands, then -m)", _cmd_mu)
     sp.add_argument("-m", dest="m", type=int, required=True, help="strands of the right word")
     sp.add_argument("left")
     sp.add_argument("right")
 
-    sp = add("braiding", "block transposition braid on m + n2 strands", need_n=False)
+    sp = add(
+        "braiding", "block transposition braid on m + n2 strands", _cmd_braiding,
+        need_n=False,
+    )
     sp.add_argument("m", type=int)
     sp.add_argument("n2", type=int)
 
-    sp = add("factor", "idempotent times full braid decomposition")
+    sp = add("factor", "idempotent times full braid decomposition", _cmd_factor)
     sp.add_argument("word")
 
-    sp = add("abelian", "commutative-quotient invariant")
+    sp = add("abelian", "commutative-quotient invariant", _cmd_abelian)
     sp.add_argument("word")
 
-    sp = add("central", "does the word commute with every generator?")
+    sp = add("central", "does the word commute with every generator?", _cmd_central, capped=True)
     sp.add_argument("word")
 
-    sp = add("verify-presentation", "check every relation of a presentation")
+    sp = add(
+        "verify-presentation", "check every relation of a presentation", _cmd_verify,
+        capped=True,
+    )
     sp.add_argument("--engine", choices=("action", "garside"), default=None)
     sp.add_argument("suite", choices=words.SUITE_IDS)
 
@@ -138,11 +160,13 @@ def _cmd_eval(args) -> int:
 
 
 def _equal(engine: str, w1: Word, w2: Word, max_letters: int) -> bool:
+    """The action and the injection projection on request; otherwise the
+    library's own equality."""
     if engine == "action":
         return action.equal_action(w1, w2, max_letters=max_letters)
     if engine == "injection":
         return action.tau(w1, max_letters=max_letters) == action.tau(w2, max_letters=max_letters)
-    return garside.equal_nf(w1, w2)
+    return monoidal._equal(w1, w2, max_letters)
 
 
 def _cmd_eq(args) -> int:
@@ -295,9 +319,7 @@ def _cmd_central(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    engine = words.SUITE_ENGINES[suite]
-    if engine == "garside" and args.engine is not None:
-        engine = args.engine
+    engine = args.engine or words.SUITE_ENGINES.get(suite, "garside")
     relations = words.relation_suite(suite, args.n)
     failures = 0
     rows = []
@@ -327,37 +349,14 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-_COMMANDS: dict[str, Callable] = {
-    "eval": _cmd_eval,
-    "eq": _cmd_eq,
-    "nf": _cmd_nf,
-    "canon": _cmd_canon,
-    "tau": _cmd_tau,
-    "inv": _cmd_inv,
-    "makanin": _cmd_makanin,
-    "imakanin": _cmd_imakanin,
-    "delete": _cmd_delete,
-    "mu": _cmd_mu,
-    "braiding": _cmd_braiding,
-    "factor": _cmd_factor,
-    "abelian": _cmd_abelian,
-    "central": _cmd_central,
-    "verify-presentation": _cmd_verify,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        return args.handler(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
-    except (WordSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # WordSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

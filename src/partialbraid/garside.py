@@ -275,10 +275,7 @@ class CanonicalForm(_Frozen):
     def __str__(self) -> str:
         dom = ",".join(str(i) for i in self.domain)
         cod = ",".join(str(j) for j in self.codomain)
-        body = ";".join(
-            " ".join(str(v + 1) for v in factor) for factor in self.nf.factors
-        )
-        return f"I={{{dom}}} J={{{cod}}} inf={self.nf.inf} factors=[{body}]"
+        return f"I={{{dom}}} J={{{cod}}} {self.nf}"
 
 
 def canonical_form(w: Word) -> CanonicalForm:

@@ -30,11 +30,14 @@ def mu(a: Word, b: Word) -> Word:
 
 
 def _equal(w1: Word, w2: Word, max_letters: int = MAX_LETTERS) -> bool:
-    """Monoid equality through normal forms; welded words need the action,
-    which runs under max_letters."""
-    if XI in w1.kinds() or XI in w2.kinds():
-        return equal_action(w1, w2, max_letters=max_letters)
-    return equal_nf(w1, w2)
+    """Monoid equality through normal forms.  The welded words they refuse
+    go to the action, under max_letters; any other refusal is raised."""
+    try:
+        return equal_nf(w1, w2)
+    except ValueError:
+        if XI not in w1.kinds() and XI not in w2.kinds():
+            raise
+    return equal_action(w1, w2, max_letters=max_letters)
 
 
 def check_naturality(bm: Word, bn: Word) -> bool:
@@ -47,14 +50,17 @@ def check_naturality(bm: Word, bn: Word) -> bool:
     return _equal(mu(bm, bn) * c, c * mu(bn, bm))
 
 
-def _extension_perm(targets: dict[int, int], n: int) -> tuple:
-    """0-based full permutation extending targets, complement filled ascending."""
-    images = [0] * n
+def _deletions_and_spread(targets: dict[int, int], n: int) -> tuple:
+    """Letters of the idempotent deleting every strand outside targets, and
+    of the positive permutation braid carrying each kept strand to its
+    target, with the deleted positions filled in ascending order."""
+    deletions = tuple(epsilon(i) for i in range(1, n + 1) if i not in targets)
     used = set(targets.values())
     spare = iter(j for j in range(1, n + 1) if j not in used)
-    for i in range(1, n + 1):
-        images[i - 1] = (targets[i] if i in targets else next(spare)) - 1
-    return tuple(images)
+    images = tuple(
+        (targets[i] if i in targets else next(spare)) - 1 for i in range(1, n + 1)
+    )
+    return deletions, perm_to_word(images, n).letters
 
 
 def factorize(w: Word) -> tuple[Word, Word]:
@@ -67,16 +73,13 @@ def factorize(w: Word) -> tuple[Word, Word]:
     """
     skel = evaluate_skeleton(w)
     n = w.n
-    dom = set(skel.domain)
-    idempotent = Word(n, tuple(epsilon(i) for i in range(1, n + 1) if i not in dom))
+    deletions, spread = _deletions_and_spread(dict(zip(skel.domain, skel.codomain)), n)
     embedded: tuple = ()
     if skel.braid.letters:
         prefix = Word(n, domain_prefix_letters(skel.domain))
         gathered = prefix * Word(n, skel.braid.letters) * mirror_inverse(prefix)
         embedded = gathered.letters
-    targets = dict(zip(skel.domain, skel.codomain))
-    spread = perm_to_word(_extension_perm(targets, n), n)
-    return idempotent, Word(n, embedded + spread.letters)
+    return Word(n, deletions), Word(n, embedded + spread)
 
 
 def positive_lift(p: PartialInjection) -> Word:
@@ -86,12 +89,9 @@ def positive_lift(p: PartialInjection) -> Word:
     permutation braid of the minimal full extension of p; every pair of
     surviving strands crosses at most once.
     """
-    n = p.n
-    dom = p.domain()
-    idempotent = tuple(epsilon(i) for i in range(1, n + 1) if i not in set(dom))
-    targets = {i: p.mapping[i - 1] for i in dom}
-    spread = perm_to_word(_extension_perm(targets, n), n)
-    return Word(n, idempotent + spread.letters)
+    targets = {i: p.mapping[i - 1] for i in p.domain()}
+    deletions, spread = _deletions_and_spread(targets, p.n)
+    return Word(p.n, deletions + spread)
 
 
 def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:

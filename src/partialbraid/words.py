@@ -454,16 +454,10 @@ _SUITES = {
 
 SUITE_IDS = tuple(_SUITES)
 
-# sym-inverse only holds after projecting to partial injections; ibp-mixed
-# needs the welded letters, which the normal-form engine does not cover.
-SUITE_ENGINES = {
-    "artin": "garside",
-    "ibn-eps": "garside",
-    "ibn-balanced": "garside",
-    "ibn-2gen": "garside",
-    "sym-inverse": "injection",
-    "ibp-mixed": "action",
-}
+# The default engine of a suite, where it is not "garside" (which hands
+# welded words to the action): sym-inverse only holds after projecting to
+# partial injections.
+SUITE_ENGINES = {"sym-inverse": "injection"}
 
 
 def relation_suite(suite_id: str, n: int) -> tuple[RelationPair, ...]:

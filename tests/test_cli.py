@@ -119,16 +119,121 @@ def test_verify_presentation_json(capsys):
     assert all(row["ok"] for row in payload["relations"])
 
 
+def test_engine_overrides_every_suite_default(capsys):
+    argv = ["verify-presentation", "-n", "3", "--format", "json"]
+    assert run(argv + ["--engine", "action", "sym-inverse"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["engine"] == "action"
+    assert payload["failed"] > 0
+    # the welded suite runs on the production path by default
+    assert run(argv + ["ibp-mixed"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["engine"] == "garside"
+    assert payload["failed"] == 0
+
+
+def _exit_code(argv) -> int:
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_max_letters_only_on_verbs_that_reach_the_action(capsys):
+    import argparse
+
+    from partialbraid.cli import build_parser
+
+    (verbs,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    capped = {
+        verb
+        for verb, sub in verbs.items()
+        if any("--max-letters" in action.option_strings for action in sub._actions)
+    }
+    assert capped == {"eval", "eq", "tau", "central", "verify-presentation"}
+    assert len(verbs) == 15
+    assert _exit_code(["canon", "-n", "3", "--max-letters", "5", "s1"]) == 2
+    assert _exit_code(["canon", "-n", "3", "s1"]) == 0
+    capsys.readouterr()
+
+
+def test_max_letters_below_one_is_a_usage_error(capsys):
+    for cap in ("0", "-5"):
+        assert _exit_code(["eval", "-n", "2", "--max-letters", cap, "s1"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-letters: must be at least 1, got {int(cap)}" in err
+    assert _exit_code(["eval", "-n", "2", "--max-letters", "x", "s1"]) == 2
+    assert "argument --max-letters: invalid int value: 'x'" in capsys.readouterr().err
+    assert _exit_code(["eval", "-n", "2", "--max-letters", "1", "s1"]) == 3
+    capsys.readouterr()
+
+
 def test_parse_error_exit_two(capsys):
     assert run(["eq", "-n", "2", "s9", "e1"]) == 2
     assert run(["eval", "-n", "2", "zz"]) == 2
     capsys.readouterr()
 
 
-def test_xi_rejected_by_garside_engine(capsys):
-    assert run(["eq", "-n", "2", "t1", "t1"]) == 2
-    assert run(["eq", "-n", "2", "--engine", "action", "t1", "t1"]) == 0
+def test_welded_pairs_answered_by_default_engine(tmp_path, capsys):
+    # the normal forms refuse welded words, so the library's equality
+    # hands them to the action, under --max-letters
+    assert run(["eq", "-n", "2", "t1", "t1"]) == 0
+    assert run(["eq", "-n", "3", "t1 t2 t1", "t2 t1 t2"]) == 0
+    assert run(["eq", "-n", "2", "t1", "s1"]) == 1
+    assert out_lines(capsys) == ["true", "true", "false"]
+    batch = tmp_path / "pairs.tsv"
+    batch.write_text("s1\ts1\nt1 t1\t\nt1 e1\te2 t1\nt1\ts1\n")
+    assert run(["eq", "-n", "2", "--batch", str(batch)]) == 0
+    assert out_lines(capsys) == ["true", "true", "true", "false"]
+    batch.write_text("t1\tt1\n" + "t1 s1 s2 " * 30 + "\ts1\nt1\tt1\n")
+    assert run(["eq", "-n", "3", "--max-letters", "50", "--batch", str(batch)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["true"]
+    assert captured.err.startswith("line 2: resource limit: ")
+
+
+def _welded_pairs(rng, count=240):
+    """Seeded pairs on n <= 4 with a welded letter in at least one word:
+    ibp-mixed relations in random contexts, equal by construction, and
+    random pairs."""
+    from conftest import random_word
+    from partialbraid.words import XI, relation_suite
+
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(2, 4)
+        if len(pairs) % 2 == 0:
+            rel = rng.choice(relation_suite("ibp-mixed", n))
+            left, right = rel.left, rel.right
+            if rng.random() < 0.5:
+                left, right = right, left
+            before = random_word(rng, n, 5, with_xi=True)
+            after = random_word(rng, n, 5, with_xi=True)
+            pair = (before * left * after, before * right * after)
+        else:
+            pair = (random_word(rng, n, 8, with_xi=True), random_word(rng, n, 8, with_xi=True))
+        if XI in pair[0].kinds() | pair[1].kinds():
+            pairs.append(pair)
+    return pairs
+
+
+def test_welded_default_engine_matches_action(rng, capsys):
+    verdicts = {}
+    for w1, w2 in _welded_pairs(rng):
+        answers = []
+        for engine in (), ("--engine", "action"):
+            code = run(["eq", "-n", str(w1.n), *engine, str(w1), str(w2)])
+            assert code in (0, 1), (str(w1), str(w2), capsys.readouterr().err)
+            answers.append(code)
+        assert answers[0] == answers[1], (str(w1), str(w2))
+        verdicts[answers[0] == 0] = verdicts.get(answers[0] == 0, 0) + 1
     capsys.readouterr()
+    assert set(verdicts) == {True, False}
+    print(f"welded pairs: {verdicts[True]} equal, {verdicts[False]} unequal")
 
 
 def test_resource_limit_exit_three(capsys):

@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import random_braid_word, random_word
 from partialbraid.action import PartialInjection, equal_action, tau
 from partialbraid.garside import equal_nf
@@ -139,6 +141,42 @@ def test_is_central_agrees_with_action_oracle(rng):
     # welded words can only be compared through the action
     assert is_central(w("t1 t1", 3))
     assert not is_central(w("t1", 3))
+
+
+def test_equal_dispatch_error_path(monkeypatch):
+    from partialbraid import garside, monoidal
+    from partialbraid.freegroup import ResourceLimitError
+
+    # a strand-count mismatch keeps its text whether or not a word is welded
+    for left, right in [("s1", "s1"), ("t1", "t1"), ("s1", "t1"), ("t1", "s1")]:
+        with pytest.raises(ValueError, match=r"^strand-count mismatch: 2 vs 3$"):
+            monoidal._equal(w(left, 2), w(right, 3))
+    # a cap hit on a welded pair is raised on its own, not chained to the
+    # normal forms' refusal
+    long_word = w("t1 s1 s2 " * 30, 3)
+    with pytest.raises(ResourceLimitError) as caught:
+        monoidal._equal(long_word, w("s1", 3), max_letters=50)
+    assert caught.value.__context__ is None
+
+    # any other refusal of a pair with no welded letter is raised, and the
+    # action never answers it
+    def refuse(*args):
+        raise ValueError("factor sequence is not left-greedy")
+
+    asked = []
+
+    def action_spy(w1, w2, max_letters):
+        asked.append((str(w1), str(w2)))
+        return True
+
+    monkeypatch.setattr(garside, "left_greedy_nf", refuse)
+    monkeypatch.setattr(monoidal, "equal_action", action_spy)
+    with pytest.raises(ValueError, match="^factor sequence is not left-greedy$"):
+        monoidal._equal(w("s1 s2 s1", 3), w("s2 s1 s2", 3))
+    assert asked == []
+    # welded pairs still reach the action
+    assert monoidal._equal(w("t1", 2), w("t1 t1 t1", 2))
+    assert asked == [("t1", "t1 t1 t1")]
 
 
 def test_center_classification_small():
