@@ -171,6 +171,9 @@ def _equal(engine: str, w1: Word, w2: Word, max_letters: int) -> bool:
 
 def _cmd_eq(args) -> int:
     if args.batch is not None:
+        if args.words:
+            print("eq --batch takes no positional words", file=sys.stderr)
+            return USAGE_ERROR
         return _cmd_eq_batch(args)
     if len(args.words) != 2:
         print("eq takes exactly two words", file=sys.stderr)

@@ -16,7 +16,7 @@ The Makanin tests are decided here too, by their definition through it.
 
 from __future__ import annotations
 
-from .diagram import _crossing_word, _occupants, _replay, evaluate_skeleton
+from .diagram import _occupants, _replay
 from .freegroup import project
 from .words import (
     SIGMA,
@@ -25,7 +25,6 @@ from .words import (
     _Frozen,
     delta_word,
     epsilon,
-    epsilon_block,
     mirror_inverse,
     sigma,
 )
@@ -64,37 +63,17 @@ def perm_length(p: Perm) -> int:
     )
 
 
-def _starts(p: Perm) -> frozenset[int]:
-    """0-based g such that the braid of p can begin with crossing g+1."""
-    return frozenset(g for g in range(len(p) - 1) if p[g] > p[g + 1])
-
-
-def _finishes(p: Perm) -> frozenset[int]:
-    """0-based g such that the braid of p can end with crossing g+1."""
-    return _starts(invert_perm(p))
-
-
-def left_weighted(a: Perm, b: Perm) -> bool:
-    """No crossing can move from the front of b into a: starts(b) ⊆ finishes(a)."""
-    return _starts(b) <= _finishes(a)
-
-
 def word_to_perm(w: Word, k: int | None = None) -> Perm:
     """Underlying permutation of a positive crossing-only word."""
     if k is None:
         k = w.n
-    p = list(range(k))
-    pinv = list(range(k))
     for letter in w.letters:
         if letter.kind != SIGMA:
             raise ValueError("word_to_perm expects positive crossings only")
-        g = letter.index - 1
-        if g >= k - 1:
+        if letter.index >= k:
             raise ValueError(f"crossing {letter.token()} out of range for k={k}")
-        i, j = pinv[g], pinv[g + 1]
-        p[i], p[j] = p[j], p[i]
-        pinv[g], pinv[g + 1] = j, i
-    return tuple(p)
+    # the start strand ending at each position is the inverse permutation
+    return invert_perm(tuple(s - 1 for s in _occupants(Word(k, w.letters))))
 
 
 def perm_to_word(p: Perm, n: int | None = None) -> Word:
@@ -102,7 +81,6 @@ def perm_to_word(p: Perm, n: int | None = None) -> Word:
     k = len(p)
     if n is None:
         n = k
-    a = list(p)
     apos = list(invert_perm(p))
     reversed_letters: list[int] = []
     while True:
@@ -111,11 +89,22 @@ def perm_to_word(p: Perm, n: int | None = None) -> Word:
         )
         if g is None:
             break
-        i, j = apos[g], apos[g + 1]
-        a[i], a[j] = a[j], a[i]
-        apos[g], apos[g + 1] = j, i
+        apos[g], apos[g + 1] = apos[g + 1], apos[g]
         reversed_letters.append(g)
     return Word(n, tuple(sigma(g + 1) for g in reversed(reversed_letters)))
+
+
+def _deletions_and_spread(targets: dict[int, int], n: int) -> tuple:
+    """Letters of the idempotent deleting every strand outside targets, and
+    of the positive permutation braid carrying each kept strand to its
+    target, with the deleted positions filled in ascending order."""
+    deletions = tuple(epsilon(i) for i in range(1, n + 1) if i not in targets)
+    used = set(targets.values())
+    spare = iter(j for j in range(1, n + 1) if j not in used)
+    images = tuple(
+        (targets[i] if i in targets else next(spare)) - 1 for i in range(1, n + 1)
+    )
+    return deletions, perm_to_word(images, n).letters
 
 
 def is_permutation_braid(w: Word, k: int | None = None) -> bool:
@@ -152,6 +141,12 @@ def _left_weight_pair(a: Perm, b: Perm, k: int) -> tuple[Perm, Perm, bool]:
     if not moved:
         return a, b, False
     return invert_perm(tuple(ainv)), tuple(bb), True
+
+
+def left_weighted(a: Perm, b: Perm) -> bool:
+    """No crossing can move from the front of b into a: every crossing that
+    could start b already finishes a."""
+    return not _left_weight_pair(a, b, len(b))[2]
 
 
 def _normalize(factors: list[Perm], k: int) -> tuple[int, tuple[Perm, ...]]:
@@ -219,34 +214,28 @@ class GarsideNF(_Frozen):
         return f"inf={self.inf} factors=[{body}]"
 
 
-def left_greedy_nf(b: Word, k: int | None = None) -> GarsideNF:
-    """Left-greedy normal form of a crossing-only word on k strands.
+def _rank_nf(k: int, ranks: list[int] | tuple[int, ...]) -> GarsideNF:
+    """Left normal form of the braid on k strands whose crossings are the
+    signed ranks: r for sigma_r, -r for its inverse, each in 1..k-1.
 
     Each inverse crossing is rewritten as half-twist^-1 times the
     complementary permutation braid; the negative twists migrate to the
     front through the index-reversal automorphism, and the remaining
     positive factors are left-weighted.
     """
-    if k is None:
-        k = b.n
     half_twist = longest_perm(k)
     raw: list[tuple[Perm, int]] = []
-    for letter in b.letters:
-        g = letter.index - 1
-        if g >= k - 1:
-            raise ValueError(f"crossing {letter.token()} out of range for k={k}")
-        if letter.kind == SIGMA:
+    for r in ranks:
+        if r > 0:
             p = list(range(k))
-            p[g], p[g + 1] = p[g + 1], p[g]
+            p[r - 1], p[r] = p[r], p[r - 1]
             raw.append((tuple(p), 0))
-        elif letter.kind == SIGMA_INV:
-            # half-twist followed by the inverse crossing: swap the values
-            # g, g+1 in the reversal's one-line form
-            p = list(half_twist)
-            p[k - 1 - g], p[k - 2 - g] = p[k - 2 - g], p[k - 1 - g]
-            raw.append((tuple(p), -1))
         else:
-            raise ValueError("normal forms expect crossing-only words")
+            # half-twist followed by the inverse crossing: swap the values
+            # g, g+1 (g = -r-1) in the reversal's one-line form
+            p = list(half_twist)
+            p[k + r], p[k - 1 + r] = p[k - 1 + r], p[k + r]
+            raw.append((tuple(p), -1))
     total = 0
     factors: list[Perm] = []
     for p, d in reversed(raw):
@@ -255,6 +244,23 @@ def left_greedy_nf(b: Word, k: int | None = None) -> GarsideNF:
     factors.reverse()
     extra, normal = _normalize(factors, k)
     return GarsideNF(k, total + extra, normal)
+
+
+def left_greedy_nf(b: Word, k: int | None = None) -> GarsideNF:
+    """Left-greedy normal form of a crossing-only word on k strands."""
+    if k is None:
+        k = b.n
+    ranks: list[int] = []
+    for letter in b.letters:
+        if letter.index >= k:
+            raise ValueError(f"crossing {letter.token()} out of range for k={k}")
+        if letter.kind == SIGMA:
+            ranks.append(letter.index)
+        elif letter.kind == SIGMA_INV:
+            ranks.append(-letter.index)
+        else:
+            raise ValueError("normal forms expect crossing-only words")
+    return _rank_nf(k, ranks)
 
 
 class CanonicalForm(_Frozen):
@@ -280,13 +286,8 @@ class CanonicalForm(_Frozen):
 
 def canonical_form(w: Word) -> CanonicalForm:
     """Skeleton of w with its underlying braid put in left normal form."""
-    skel = evaluate_skeleton(w)
-    return CanonicalForm(
-        w.n,
-        skel.domain,
-        skel.codomain,
-        left_greedy_nf(skel.braid, len(skel.domain)),
-    )
+    _, domain, codomain, ranks = _replay(w, _occupants(w))
+    return CanonicalForm(w.n, domain, codomain, _rank_nf(len(domain), ranks))
 
 
 def equal_nf(w1: Word, w2: Word) -> bool:
@@ -316,9 +317,7 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     r1, r2 = project(b1, ranks), project(b2, ranks)
     if r1 == r2:
         return True
-    return left_greedy_nf(_crossing_word(k, r1), k) == left_greedy_nf(
-        _crossing_word(k, r2), k
-    )
+    return _rank_nf(k, r1) == _rank_nf(k, r2)
 
 
 def is_i_makanin(w: Word, i: int) -> bool:
@@ -331,7 +330,7 @@ def is_i_makanin(w: Word, i: int) -> bool:
     n = w.n
     if not 1 <= i <= n:
         raise ValueError(f"strand index {i} out of range for n={n}")
-    if len(evaluate_skeleton(w).domain) == n:
+    if None not in _occupants(w):
         return _deleting_leaves_trivial(w, i)
     if equal_nf(w, Word(n, (epsilon(i),))):
         return True
@@ -349,7 +348,7 @@ def _deleting_leaves_trivial(w: Word, i: int) -> bool:
 
 def is_makanin(w: Word) -> bool:
     """True when w is i-Makanin for every strand i."""
-    if len(evaluate_skeleton(w).domain) != w.n:
+    if None in _occupants(w):
         raise ValueError("Makanin test needs a full braid")
     return all(_deleting_leaves_trivial(w, i) for i in range(1, w.n + 1))
 
@@ -366,27 +365,16 @@ def domain_prefix_letters(domain: tuple[int, ...]) -> tuple:
     return tuple(letters)
 
 
-def _codomain_suffix_letters(codomain: tuple[int, ...]) -> tuple:
-    """Positive runs spreading positions 1..k out to codomain, emitted for
-    t = k..1 so each strand only ever moves across empty positions."""
-    letters = []
-    for t in range(len(codomain), 0, -1):
-        for g in range(t, codomain[t - 1]):
-            letters.append(sigma(g))
-    return tuple(letters)
-
-
 def reconstruct_word(c: CanonicalForm) -> Word:
     """A word in the ambient alphabet evaluating to the element of c:
-    gathering runs, deletion block, the braid, the block again, spreading
-    runs."""
-    k = len(c.domain)
-    block = epsilon_block(k, c.n).letters
+    gathering runs, deletion block, the braid, the block again, the
+    spreading permutation braid."""
+    block, spread = _deletions_and_spread(dict(enumerate(c.codomain, 1)), c.n)
     letters = (
         domain_prefix_letters(c.domain)
         + block
         + c.nf.to_word(c.n).letters
         + block
-        + _codomain_suffix_letters(c.codomain)
+        + spread
     )
     return Word(c.n, letters)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .action import PartialInjection, equal_action
 from .diagram import evaluate_skeleton
 from .freegroup import MAX_LETTERS
-from .garside import domain_prefix_letters, equal_nf, perm_to_word
+from .garside import _deletions_and_spread, domain_prefix_letters, equal_nf
 from .words import (
     XI,
     Word,
@@ -48,19 +48,6 @@ def check_naturality(bm: Word, bn: Word) -> bool:
     """
     c = braiding_word(bm.n, bn.n)
     return _equal(mu(bm, bn) * c, c * mu(bn, bm))
-
-
-def _deletions_and_spread(targets: dict[int, int], n: int) -> tuple:
-    """Letters of the idempotent deleting every strand outside targets, and
-    of the positive permutation braid carrying each kept strand to its
-    target, with the deleted positions filled in ascending order."""
-    deletions = tuple(epsilon(i) for i in range(1, n + 1) if i not in targets)
-    used = set(targets.values())
-    spare = iter(j for j in range(1, n + 1) if j not in used)
-    images = tuple(
-        (targets[i] if i in targets else next(spare)) - 1 for i in range(1, n + 1)
-    )
-    return deletions, perm_to_word(images, n).letters
 
 
 def factorize(w: Word) -> tuple[Word, Word]:

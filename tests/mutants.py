@@ -1,0 +1,150 @@
+"""Mutation check: every mutant below must make the tests fail.
+
+Each mutant rewrites one line of the package in a fresh copy of src/ and
+tests/, and a focused subset of the tests is run there with -x.  A mutant
+that leaves the subset passing survives; any survivor makes the script
+exit 1.  The unmutated copy is run first, so a failing subset cannot pass
+for a kill.  Not collected by pytest; run from anywhere as
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 60
+
+# (what the mutant does, file under src/partialbraid, pattern, replacement,
+# tests that must fail)
+MUTANTS = [
+    (
+        "normal-form core reads inverse ranks as positive",
+        "garside.py",
+        "    for r in ranks:\n",
+        "    for r in map(abs, ranks):\n",
+        ["tests/test_garside.py::test_left_greedy_examples"],
+    ),
+    (
+        "_left_weight_pair with its comparison flipped",
+        "garside.py",
+        "and ainv[g] < ainv[g + 1]:",
+        "and ainv[g] > ainv[g + 1]:",
+        ["tests/test_garside.py::test_left_weighted_is_start_set_inclusion"],
+    ),
+    (
+        "left_weighted always true",
+        "garside.py",
+        "    return not _left_weight_pair(a, b, len(b))[2]\n",
+        "    return True\n",
+        ["tests/test_garside.py::test_left_weighted_is_start_set_inclusion"],
+    ),
+    (
+        "equal_nf answers true on equal occupant lists",
+        "garside.py",
+        "    if occupant != _occupants(w2):\n        return False\n",
+        "    if occupant != _occupants(w2):\n        return False\n    return True\n",
+        ["tests/test_garside.py::test_equal_nf_examples"],
+    ),
+    (
+        "freegroup.project cancels r, r",
+        "freegroup.py",
+        "        if out and out[-1] == -x:\n            out.pop()\n        else:\n"
+        "            out.append(x)\n    return tuple(out)\n",
+        "        if out and abs(out[-1]) == abs(x):\n            out.pop()\n        else:\n"
+        "            out.append(x)\n    return tuple(out)\n",
+        [
+            "tests/test_freegroup.py::test_project",
+            "tests/test_garside.py::test_equal_nf_free_reduction_hypothesis",
+        ],
+    ),
+    (
+        "substitute_erasing without its reversed",
+        "freegroup.py",
+        "for y in reversed(img):",
+        "for y in img:",
+        ["tests/test_freegroup.py"],
+    ),
+    (
+        "monoidal._equal falls back to the action on every ValueError",
+        "monoidal.py",
+        "        if XI not in w1.kinds() and XI not in w2.kinds():\n            raise\n",
+        "        pass\n",
+        ["tests/test_monoidal.py::test_equal_dispatch_error_path"],
+    ),
+    (
+        "word_to_perm drops invert_perm",
+        "garside.py",
+        "    return invert_perm(tuple(s - 1 for s in _occupants(Word(k, w.letters))))\n",
+        "    return tuple(s - 1 for s in _occupants(Word(k, w.letters)))\n",
+        ["tests/test_garside.py::test_perm_to_word_round_trip"],
+    ),
+    (
+        "spare positions filled in descending order",
+        "garside.py",
+        "spare = iter(j for j in range(1, n + 1) if j not in used)",
+        "spare = iter(j for j in range(n, 0, -1) if j not in used)",
+        [
+            "tests/test_monoidal.py::test_printed_words_with_several_deletions",
+            "tests/test_monoidal.py::test_positive_lift_length_on_all_of_i4",
+        ],
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+
+
+def _tests_pass(tree: Path, tests: list[str]) -> bool:
+    """Run tests with -x in tree against its own src/; a hang counts as a
+    failure."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    try:
+        proc = subprocess.run(
+            cmd + tests, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    return proc.returncode == 0
+
+
+def main() -> int:
+    every_test = list(dict.fromkeys(t for *_, tests in MUTANTS for t in tests))
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        if not _tests_pass(clean, every_test):
+            print("the unmutated tree fails the mutant tests", file=sys.stderr)
+            return 1
+        survivors = 0
+        for number, (what, module, pattern, replacement, tests) in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant{number}"
+            _copy(tree)
+            path = tree / "src" / "partialbraid" / module
+            text = path.read_text()
+            count = text.count(pattern)
+            assert count == 1, f"{what}: pattern occurs {count} times in {module}"
+            path.write_text(text.replace(pattern, replacement))
+            start = time.perf_counter()
+            survived = _tests_pass(tree, tests)
+            elapsed = time.perf_counter() - start
+            survivors += survived
+            verdict = "SURVIVED" if survived else "killed"
+            print(f"{verdict:8} {elapsed:5.1f}s  {what}")
+    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

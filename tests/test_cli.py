@@ -258,6 +258,19 @@ def test_batch_mode_bad_line(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_batch_mode_refuses_positional_words(tmp_path, capsys):
+    batch = tmp_path / "pairs.tsv"
+    batch.write_text("s1\ts1\n")
+    for extra in (["s1", "e1"], ["s1"]):
+        assert run(["eq", "-n", "2", "--batch", str(batch), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "eq --batch takes no positional words\n"
+    # without positional words the file is still read
+    assert run(["eq", "-n", "2", "--batch", str(batch)]) == 0
+    assert out_lines(capsys) == ["true"]
+
+
 def test_batch_mode_names_the_failing_line(tmp_path, capsys):
     batch = tmp_path / "pairs.tsv"
     # a syntax error on line 3, after one answered pair and a blank line

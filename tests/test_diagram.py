@@ -260,6 +260,39 @@ def test_makanin_domain_restrictions():
         is_i_makanin(w("s1", 2), 3)
 
 
+def test_makanin_error_texts():
+    full = "Makanin test needs a full braid"
+    idempotent = (
+        "i-Makanin test needs a full braid or the single-deletion "
+        "idempotent at i itself"
+    )
+    welded = "skeletons are not defined for xi letters"
+    # a welded letter is refused wherever it sits, deletions or not
+    for text, message in [
+        ("e1", full),
+        ("s1 e2", full),
+        ("t1", welded),
+        ("e1 t1", welded),
+        ("t1 e1", welded),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            is_makanin(w(text, 2))
+        assert str(caught.value) == message, text
+    # the strand index is checked first, then the letters
+    for text, i, message in [
+        ("t1", 3, "strand index 3 out of range for n=2"),
+        ("e1", 0, "strand index 0 out of range for n=2"),
+        ("t1", 1, welded),
+        ("e1 t1", 1, welded),
+        ("e1", 2, idempotent),
+        ("e1 e2", 1, idempotent),
+        ("s1 e2", 2, idempotent),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            is_i_makanin(w(text, 2), i)
+        assert str(caught.value) == message, (text, i)
+
+
 def test_makanin_agrees_with_definitional_check(rng):
     # the normal-form route against eps_i w == eps_i through the action engine
     for _ in range(200):

@@ -14,6 +14,7 @@ from partialbraid import garside
 from partialbraid.action import ResourceLimitError, equal_action
 from partialbraid.diagram import evaluate_skeleton
 from partialbraid.garside import (
+    CanonicalForm,
     GarsideNF,
     canonical_form,
     compose_perms,
@@ -65,6 +66,20 @@ def test_word_to_perm_rejects_inverses():
         word_to_perm(w("s1^-1", 2))
 
 
+def test_word_to_perm_error_texts():
+    # letter by letter, the kind is checked before the range
+    for text, n, k, message in [
+        ("s2^-1", 3, 2, "word_to_perm expects positive crossings only"),
+        ("s1 t1", 2, None, "word_to_perm expects positive crossings only"),
+        ("e1", 2, None, "word_to_perm expects positive crossings only"),
+        ("s1 s2", 3, 2, "crossing s2 out of range for k=2"),
+        ("s2 e1", 3, 2, "crossing s2 out of range for k=2"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            word_to_perm(w(text, n), k)
+        assert str(caught.value) == message, text
+
+
 def test_perm_to_word_examples():
     assert perm_to_word(identity_perm(4)).letters == ()
     assert str(perm_to_word((1, 0))) == "s1"
@@ -103,6 +118,42 @@ def test_left_greedy_examples():
     nf = left_greedy_nf(w("s1^-1", 3))
     assert nf.inf == -1
     assert nf.factors == (word_to_perm(w("s1 s2", 3)),)
+
+
+def test_left_greedy_error_texts():
+    # letter by letter, the range is checked before the kind
+    for text, n, k, message in [
+        ("e3 s1", 3, None, "crossing e3 out of range for k=3"),
+        ("e2", 3, 2, "crossing e2 out of range for k=2"),
+        ("s2 e1", 3, 2, "crossing s2 out of range for k=2"),
+        ("s1 e1", 3, 2, "normal forms expect crossing-only words"),
+        ("e1 s2", 3, 2, "normal forms expect crossing-only words"),
+        ("t1", 3, None, "normal forms expect crossing-only words"),
+        ("s1^-1 t2", 3, None, "normal forms expect crossing-only words"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            left_greedy_nf(w(text, n), k)
+        assert str(caught.value) == message, text
+
+
+def _starts(p):
+    """0-based g such that the braid of p can begin with crossing g+1."""
+    return {g for g in range(len(p) - 1) if p[g] > p[g + 1]}
+
+
+def test_left_weighted_is_start_set_inclusion():
+    # (a, b) is left-weighted exactly when every crossing that can start b
+    # can finish a, i.e. start the braid of a's inverse
+    for k in range(6):
+        perms = list(itertools.permutations(range(k)))
+        weighted = 0
+        for a in perms:
+            finishes = _starts(invert_perm(a))
+            for b in perms:
+                expected = _starts(b) <= finishes
+                assert left_weighted(a, b) == expected, (a, b)
+                weighted += expected
+        assert 0 < weighted <= len(perms) ** 2
 
 
 def test_left_greedy_splits_generator_square():
@@ -204,6 +255,8 @@ def test_canonical_form_examples():
 def test_equal_nf_examples():
     assert not equal_nf(w("e1", 2), w("e2", 2))
     assert equal_nf(w("s1 s2 s1", 3), w("s2 s1 s2", 3))
+    # a pure braid has the identity's strand map but is not the identity
+    assert not equal_nf(w("s1 s1", 2), Word(2))
     with pytest.raises(ValueError):
         equal_nf(w("", 2), w("", 3))
 
@@ -283,7 +336,7 @@ def test_equal_nf_strand_map_exit_differential(monkeypatch):
     # strand maps differing in domain, codomain or permutation
     rng = random.Random(0xE0A1)
     replay_calls = _count_calls(monkeypatch, "_replay")
-    nf_calls = _count_calls(monkeypatch, "left_greedy_nf")
+    nf_calls = _count_calls(monkeypatch, "_rank_nf")
     # pairs per (branch taken, verdict): the strand-map exit only says
     # False, the reduced-braid exit only True
     seen = {
@@ -397,7 +450,7 @@ def _inserted_pairs(draw):
 
 
 def test_equal_nf_free_reduction_hypothesis(monkeypatch):
-    nf_calls = _count_calls(monkeypatch, "left_greedy_nf")
+    nf_calls = _count_calls(monkeypatch, "_rank_nf")
     counts = {"cancelling": 0, "square equal": 0, "square unequal": 0}
 
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -432,6 +485,28 @@ def test_reconstruct_word_examples():
 def test_reconstruct_emits_marker_blocks():
     rebuilt = reconstruct_word(canonical_form(w("e1 s1", 2)))
     assert str(rebuilt) == "s1 e2 e2"
+
+
+def _spreading_runs(codomain):
+    """Positive runs spreading positions 1..k out to codomain, for
+    t = k..1, so each strand only ever moves across empty positions."""
+    return tuple(
+        sigma(g)
+        for t in range(len(codomain), 0, -1)
+        for g in range(t, codomain[t - 1])
+    )
+
+
+def test_reconstruct_spreads_by_runs():
+    # with the survivors starting at 1..k and a trivial braid, the word is
+    # the deletion block twice, then the spreading braid
+    for n in range(11):
+        for k in range(n + 1):
+            block = tuple(epsilon(i) for i in range(k + 1, n + 1))
+            for codomain in itertools.combinations(range(1, n + 1), k):
+                form = CanonicalForm(n, tuple(range(1, k + 1)), codomain, GarsideNF(k, 0, ()))
+                expected = block + block + _spreading_runs(codomain)
+                assert reconstruct_word(form).letters == expected, codomain
 
 
 def test_reconstruct_round_trip(rng):

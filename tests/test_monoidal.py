@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from conftest import random_braid_word, random_word
 from partialbraid.action import PartialInjection, equal_action, tau
-from partialbraid.garside import equal_nf
+from partialbraid.garside import canonical_form, equal_nf, reconstruct_word
 from partialbraid.monoidal import (
     check_naturality,
     factorize,
@@ -83,6 +85,61 @@ def test_factorize_examples():
     ]:
         idempotent, braid_part = factorize(w(text, n))
         assert (str(idempotent), str(braid_part)) == expected
+
+
+def test_printed_words_with_several_deletions():
+    # (word, n, factorize parts, positive_lift of its injection,
+    # reconstruct_word of its canonical form); the spreading braids fill
+    # the deleted positions in ascending order
+    for text, n, idempotent, braid_part, lift, rebuilt in [
+        (
+            "e1 e2 s3", 4, "e1 e2",
+            "s2 s1 s3 s2 s1 s2^-1 s3^-1 s1^-1 s2^-1", "e1 e2 s3",
+            "s2 s1 s3 s2 e3 e4 s1 e3 e4 s2 s3 s1 s2",
+        ),
+        (
+            "e2 e4 s1 s2^-1 s3", 5, "e2 e4",
+            "s2 s4 s3 s1^-1 s3^-1 s4^-1 s2^-1 s3 s1", "e2 e4 s1 s2 s3",
+            "s2 s4 s3 e4 e5 s1^-1 s2^-1 s1^-1 s1 s2 e4 e5 s3 s4 s2 s3 s1",
+        ),
+        ("s1 e1 e3", 3, "e2 e3", "s1", "e2 e3 s1", "e2 e3 e2 e3 s1"),
+        (
+            "s3 s2 s1 e2 e3", 4, "e1 e2",
+            "s2 s1 s3 s2 s1 s2^-1 s3^-1 s1^-1 s2^-1 s2 s1", "e1 e2 s3 s2 s1",
+            "s2 s1 s3 s2 e3 e4 s1 e3 e4 s2 s3",
+        ),
+        (
+            "e1 s2 e4 s1 s3^-1", 4, "e1 e4",
+            "s1 s2 s1 s2^-1 s1^-1 s3 s1", "e1 e4 s2 s3 s1",
+            "s1 s2 e3 e4 s1 e3 e4 s2 s3",
+        ),
+    ]:
+        word = w(text, n)
+        assert tuple(map(str, factorize(word))) == (idempotent, braid_part), text
+        assert str(positive_lift(tau(word))) == lift, text
+        assert str(reconstruct_word(canonical_form(word))) == rebuilt, text
+
+
+def test_positive_lift_length_on_all_of_i4():
+    # one letter per deletion, plus one crossing per inversion of the
+    # minimal extension: deleted starts to unused ends, both ascending
+    n, lifts = 4, 0
+    for size in range(n + 1):
+        for domain in itertools.combinations(range(1, n + 1), size):
+            for image in itertools.permutations(range(1, n + 1), size):
+                targets = dict(zip(domain, image))
+                spare = iter(j for j in range(1, n + 1) if j not in image)
+                extension = [targets.get(i) or next(spare) for i in range(1, n + 1)]
+                inversions = sum(
+                    extension[i] > extension[j]
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                )
+                mapping = tuple(targets.get(i) for i in range(1, n + 1))
+                lifted = positive_lift(PartialInjection(n, mapping))
+                assert len(lifted) == (n - size) + inversions, mapping
+                lifts += 1
+    assert lifts == 209
 
 
 def test_factorize_properties(rng):
@@ -169,7 +226,7 @@ def test_equal_dispatch_error_path(monkeypatch):
         asked.append((str(w1), str(w2)))
         return True
 
-    monkeypatch.setattr(garside, "left_greedy_nf", refuse)
+    monkeypatch.setattr(garside, "_rank_nf", refuse)
     monkeypatch.setattr(monoidal, "equal_action", action_spy)
     with pytest.raises(ValueError, match="^factor sequence is not left-greedy$"):
         monoidal._equal(w("s1 s2 s1", 3), w("s2 s1 s2", 3))
