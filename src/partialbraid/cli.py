@@ -185,6 +185,13 @@ def _cmd_eq(args) -> int:
 
 def _cmd_eq_batch(args) -> int:
     stream = sys.stdin if args.batch == "-" else open(args.batch)
+    # one write per answer; answers read from stdin are flushed one by one,
+    # so a client that sends a pair and waits gets its answer before EOF
+    if args.format == "json":
+        answers = {v: _json({"result": v}) + "\n" for v in (True, False)}
+    else:
+        answers = {True: "true\n", False: "false\n"}
+    out, flush = sys.stdout, stream is sys.stdin
     try:
         for lineno, line in enumerate(stream, 1):
             line = line.rstrip("\n")
@@ -206,7 +213,9 @@ def _cmd_eq_batch(args) -> int:
             except ValueError as exc:
                 print(f"line {lineno}: error: {exc}", file=sys.stderr)
                 return USAGE_ERROR
-            _emit(args, "true" if value else "false", {"result": value})
+            out.write(answers[value])
+            if flush:
+                out.flush()
     finally:
         if stream is not sys.stdin:
             stream.close()

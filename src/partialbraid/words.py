@@ -174,47 +174,45 @@ def parse_word(text: str, n: int) -> Word:
 
     Grammar: ``s<i>`` / ``s<i>^-1`` / ``s<i>'`` (crossing and its inverse),
     ``e<i>`` / ``E`` (strand deletion, ``E`` meaning ``e1``), ``t<i>``
-    (welded swap).  The empty string is the identity.
+    (welded swap).  Tokens are separated by whitespace as ``str.split()``
+    finds it.  The empty string is the identity.
     """
+    tokens = text.split()
     letters = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        start = pos
-        while pos < len(text) and not text[pos].isspace():
-            pos += 1
-        token = text[start:pos]
+    for k, token in enumerate(tokens):
         match = _TOKEN_RE.fullmatch(token)
         if match is None:
-            raise WordSyntaxError(f"bad token {token!r}", start)
+            raise WordSyntaxError(f"bad token {token!r}", _token_start(text, tokens, k))
         s_idx, inv, e_idx, t_idx = match.groups()
         if s_idx is not None:
-            kind, digits = SIGMA_INV if inv else SIGMA, s_idx
+            kind, index = SIGMA_INV if inv else SIGMA, int(s_idx)
         elif e_idx is not None:
-            kind, digits = EPSILON, e_idx
+            kind, index = EPSILON, int(e_idx)
         elif t_idx is not None:
-            kind, digits = XI, t_idx
+            kind, index = XI, int(t_idx)
         else:
-            kind, digits = EPSILON, "1"
-        index = _index(digits, start)
+            kind, index = EPSILON, 1
+        if index < 1:
+            raise WordSyntaxError("indices start at 1", _token_start(text, tokens, k))
         # checked before the letter is built, so no out-of-range letter
         # enters the table
         if _strands(kind, index) > n:
             raise WordSyntaxError(
                 f"index of {_TOKENS[kind].format(index)!r} out of range for n={n}",
-                start,
+                _token_start(text, tokens, k),
             )
         letters.append(Letter(kind, index))
     return Word(n, tuple(letters))
 
 
-def _index(digits: str, position: int) -> int:
-    value = int(digits)
-    if value < 1:
-        raise WordSyntaxError("indices start at 1", position)
-    return value
+def _token_start(text: str, tokens: list[str], k: int) -> int:
+    """The character position in text of tokens[k], where tokens is
+    text.split(); only error messages need it."""
+    end = 0
+    for token in tokens[: k + 1]:
+        start = text.index(token, end)
+        end = start + len(token)
+    return start
 
 
 def format_word(w: Word) -> str:

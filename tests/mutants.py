@@ -96,6 +96,20 @@ MUTANTS = [
             "tests/test_monoidal.py::test_positive_lift_length_on_all_of_i4",
         ],
     ),
+    (
+        "error position is the start of the following token",
+        "words.py",
+        "    for token in tokens[: k + 1]:\n",
+        "    for token in tokens[: k + 2]:\n",
+        ["tests/test_words.py::test_parse_matches_character_scanner"],
+    ),
+    (
+        "eq --batch - answers without flushing",
+        "cli.py",
+        "            if flush:\n                out.flush()\n",
+        "",
+        ["tests/test_cli.py::test_batch_stdin_answers_each_pair_before_eof"],
+    ),
 ]
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from partialbraid.cli import run
 
 
@@ -354,3 +356,99 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _answer_line(proc, timeout_s=10.0):
+    """One answer line from proc's stdout, or None when none arrives in
+    time; never blocks past the timeout."""
+    import os
+    import select
+
+    line = b""
+    while not line.endswith(b"\n"):
+        if not select.select([proc.stdout], [], [], timeout_s)[0]:
+            return None
+        chunk = os.read(proc.stdout.fileno(), 4096)
+        if not chunk:
+            return None
+        line += chunk
+    return line.decode()
+
+
+@pytest.mark.parametrize(
+    "fmt, answers",
+    [("text", ["true\n", "false\n"]), ("json", ['{"result": true}\n', '{"result": false}\n'])],
+)
+def test_batch_stdin_answers_each_pair_before_eof(fmt, answers):
+    # a coprocess client: send one pair, wait for its answer, send the next;
+    # run without -u or PYTHONUNBUFFERED, so only the CLI's own flush helps
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "partialbraid", "eq", "-n", "2", "--format", fmt,
+         "--batch", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        proc.stdin.write(b"e1 s1 e1\ts1 e1 s1 e1\n")
+        proc.stdin.flush()
+        assert _answer_line(proc) == answers[0]
+        proc.stdin.write(b"e1\te2\n")
+        proc.stdin.close()
+        assert _answer_line(proc) == answers[1]
+        assert proc.wait(timeout=10) == 0
+        assert proc.stdout.read() == b""
+        assert proc.stderr.read() == b""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+class _WriteLog:
+    """A stdout stand-in that records each write and flush."""
+
+    def __init__(self):
+        self.events = []
+
+    def write(self, text):
+        self.events.append(text)
+        return len(text)
+
+    def flush(self):
+        self.events.append("<flush>")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_batch_writes_each_answer_once(tmp_path, monkeypatch, fmt):
+    import io
+    import sys
+
+    pairs = "e1 s1 e1\ts1 e1 s1 e1\ne1\te2\n\ns1\ts1\n"
+    answers = ["true\n", "false\n", "true\n"]
+    if fmt == "json":
+        answers = [json.dumps({"result": a == "true\n"}) + "\n" for a in answers]
+    batch = tmp_path / "pairs.tsv"
+    batch.write_text(pairs)
+    argv = ["eq", "-n", "2", "--format", fmt, "--batch"]
+
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert run(argv + [str(batch)]) == 0
+    # a file's answers stay buffered
+    assert log.events == answers
+
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(pairs))
+    assert run(argv + ["-"]) == 0
+    # stdin's answers are flushed one by one
+    assert log.events == [e for a in answers for e in (a, "<flush>")]

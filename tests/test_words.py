@@ -58,6 +58,71 @@ def test_parse_errors_carry_position():
         parse_word("s1^1", 3)
 
 
+def _char_scan_parse(text, n):
+    """Reference parser: the character-by-character scanner that
+    parse_word replaced, kept to pin its outputs and error texts."""
+    letters = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        start = pos
+        while pos < len(text) and not text[pos].isspace():
+            pos += 1
+        token = text[start:pos]
+        match = W._TOKEN_RE.fullmatch(token)
+        if match is None:
+            raise WordSyntaxError(f"bad token {token!r}", start)
+        s_idx, inv, e_idx, t_idx = match.groups()
+        if s_idx is not None:
+            kind, digits = W.SIGMA_INV if inv else W.SIGMA, s_idx
+        elif e_idx is not None:
+            kind, digits = W.EPSILON, e_idx
+        elif t_idx is not None:
+            kind, digits = W.XI, t_idx
+        else:
+            kind, digits = W.EPSILON, "1"
+        index = int(digits)
+        if index < 1:
+            raise WordSyntaxError("indices start at 1", start)
+        if (index if kind == W.EPSILON else index + 1) > n:
+            raise WordSyntaxError(
+                f"index of {W._TOKENS[kind].format(index)!r} out of range for n={n}",
+                start,
+            )
+        letters.append(Letter(kind, index))
+    return Word(n, tuple(letters))
+
+
+def _parse_outcome(parse, text, n):
+    try:
+        w = parse(text, n)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return w.n, w.letters
+
+
+def test_parse_matches_character_scanner(rng):
+    separators = [" ", "\t", "\n", "\r", "\x1c", "\x85", "\u00a0", "\u2003"]
+    tokens = ["s01", "e0", "s١", "E", "s2'", "s1^-", "s1s2",
+              "s1", "s3^-1", "e2", "t1", "s11", "e12", "q"]
+    errors = 0
+    for _ in range(4000):
+        parts = [rng.choice(separators) * rng.randint(0, 2)]
+        for _ in range(rng.randint(0, 5)):
+            parts += [rng.choice(tokens), rng.choice(separators) * rng.randint(1, 2)]
+        if rng.random() < 0.5:
+            parts.pop()
+        text = "".join(parts)
+        n = rng.randint(0, 12)
+        expected = _parse_outcome(_char_scan_parse, text, n)
+        assert _parse_outcome(parse_word, text, n) == expected, (text, n)
+        errors += expected[0] is WordSyntaxError
+    # both outcomes are well represented in the corpus
+    assert 1000 < errors < 3000
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         Word(1, (sigma(1),))  # n=1 has no crossings
