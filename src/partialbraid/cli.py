@@ -192,6 +192,7 @@ def _cmd_eq_batch(args) -> int:
     else:
         answers = {True: "true\n", False: "false\n"}
     out, flush = sys.stdout, stream is sys.stdin
+    seen: dict = {}  # token -> letter, shared by every word of the batch
     try:
         for lineno, line in enumerate(stream, 1):
             line = line.rstrip("\n")
@@ -204,8 +205,8 @@ def _cmd_eq_batch(args) -> int:
                 )
                 return USAGE_ERROR
             try:
-                w1 = words.parse_word(parts[0], args.n)
-                w2 = words.parse_word(parts[1], args.n)
+                w1 = words.parse_word(parts[0], args.n, seen)
+                w2 = words.parse_word(parts[1], args.n, seen)
                 value = _equal(args.engine, w1, w2, args.max_letters)
             except ResourceLimitError as exc:
                 print(f"line {lineno}: resource limit: {exc}", file=sys.stderr)

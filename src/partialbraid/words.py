@@ -169,15 +169,29 @@ class Word(_Frozen):
 _TOKEN_RE = re.compile(r"s(\d+)(\^-1|')?|e(\d+)|E|t(\d+)")
 
 
-def parse_word(text: str, n: int) -> Word:
+def parse_word(
+    text: str, n: int, _seen: dict[str, Letter] | None = None
+) -> Word:
     """Parse whitespace-separated tokens into a word on n strands.
 
     Grammar: ``s<i>`` / ``s<i>^-1`` / ``s<i>'`` (crossing and its inverse),
     ``e<i>`` / ``E`` (strand deletion, ``E`` meaning ``e1``), ``t<i>``
     (welded swap).  Tokens are separated by whitespace as ``str.split()``
     finds it.  The empty string is the identity.
+
+    _seen, private to ``eq --batch``, is a token-to-letter table that the
+    caller keeps for one n across calls.  A word whose tokens are all in
+    it is built from the table; any other word is parsed as if there were
+    none, and only then are its canonical spellings (``letter.token()``)
+    stored.  So words and errors are those of a fresh parse, a token that
+    raises is never stored, and the table holds at most 4n-3 entries.
     """
     tokens = text.split()
+    if _seen is not None:
+        try:
+            return Word(n, tuple([_seen[token] for token in tokens]))
+        except KeyError:
+            pass
     letters = []
     for k, token in enumerate(tokens):
         match = _TOKEN_RE.fullmatch(token)
@@ -195,14 +209,19 @@ def parse_word(text: str, n: int) -> Word:
         if index < 1:
             raise WordSyntaxError("indices start at 1", _token_start(text, tokens, k))
         # checked before the letter is built, so no out-of-range letter
-        # enters the table
+        # enters the intern table
         if _strands(kind, index) > n:
             raise WordSyntaxError(
                 f"index of {_TOKENS[kind].format(index)!r} out of range for n={n}",
                 _token_start(text, tokens, k),
             )
         letters.append(Letter(kind, index))
-    return Word(n, tuple(letters))
+    word = Word(n, tuple(letters))
+    if _seen is not None:
+        for token, letter in zip(tokens, word.letters):
+            if token == letter.token():
+                _seen[token] = letter
+    return word
 
 
 def _token_start(text: str, tokens: list[str], k: int) -> int:

@@ -104,6 +104,23 @@ MUTANTS = [
         ["tests/test_words.py::test_parse_matches_character_scanner"],
     ),
     (
+        "token table stores every spelling",
+        "words.py",
+        "            if token == letter.token():\n",
+        "            if True:\n",
+        ["tests/test_words.py::test_token_table_holds_canonical_spellings_only"],
+    ),
+    (
+        "token table stores before the index and range checks",
+        "words.py",
+        "            kind, index = EPSILON, 1\n        if index < 1:\n",
+        "            kind, index = EPSILON, 1\n"
+        "        if _seen is not None and token == _TOKENS[kind].format(index):\n"
+        "            _seen[token] = Letter(kind, index)\n"
+        "        if index < 1:\n",
+        ["tests/test_words.py::test_parse_through_a_warm_table_matches_a_fresh_parse"],
+    ),
+    (
         "eq --batch - answers without flushing",
         "cli.py",
         "            if flush:\n                out.flush()\n",

@@ -301,6 +301,99 @@ def test_batch_mode_resource_limit_names_the_line(tmp_path, capsys):
     assert captured.err.startswith("line 2: resource limit: ")
 
 
+def _aliases(letter):
+    """Spellings of a letter: the canonical one twice as often as each
+    alias (a leading zero, an Arabic-Indic digit, s<i>' and E)."""
+    token, i, digit = letter.token(), letter.index, chr(0x660 + letter.index)
+    if letter.kind == "sigma":
+        return [token, token, f"s0{i}", f"s{digit}"]
+    if letter.kind == "sigma-inverse":
+        return [token, token, f"s{i}'", f"s0{i}^-1", f"s{digit}'"]
+    return [token, token, f"e0{i}", f"e{digit}"] + (["E"] if i == 1 else [])
+
+
+def _spelled_pairs(rng, count=2000):
+    """Seeded n=6 pair texts: half equal by an ibn-balanced relation in
+    context, half random, each letter in a random spelling between runs
+    of mixed whitespace."""
+    from conftest import random_word
+    from partialbraid.words import relation_suite
+
+    relations = relation_suite("ibn-balanced", 6)
+    separators = [" ", "  ", "\u00a0", "\u2003", "\x1c", "\x85"]
+
+    def spell(word):
+        parts = [rng.choice(["", " "])]
+        for letter in word:
+            parts += [rng.choice(_aliases(letter)), rng.choice(separators)]
+        return "".join(parts[:-1] if rng.random() < 0.5 else parts)
+
+    pairs = []
+    for k in range(count):
+        if k % 2 == 0:
+            rel = rng.choice(relations)
+            before, after = random_word(rng, 6, 8), random_word(rng, 6, 8)
+            pair = (before * rel.left * after, before * rel.right * after)
+        else:
+            pair = (random_word(rng, 6, 12), random_word(rng, 6, 12))
+        pairs.append((spell(pair[0]), spell(pair[1])))
+    return pairs
+
+
+def test_batch_matches_single_eq_runs_across_spellings(tmp_path, monkeypatch, capsys, rng):
+    # eq --batch parses each canonical spelling once per run; its answers
+    # and errors must stay those of one eq run per pair
+    import io
+    import sys
+
+    from partialbraid import cli
+
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # 4,000 runs
+    pairs = _spelled_pairs(rng)
+    lines = []
+    for left, right in pairs:
+        lines.append(f"{left}\t{right}")
+        if rng.random() < 0.05:
+            lines.append("")
+    # bad tokens on line 121, once the table is full: out of range, zero
+    # index, malformed, each after stored and unstored spellings
+    bad_pairs = [("s1 s2 s6", "s1"), ("s1", "s1 s0"), ("e1 s01 e7", "e1"),
+                 ("s1\u00a0s2\u2003s5^-", "s1"), ("E s1' q", "")]
+    head = 120
+    batch = tmp_path / "pairs.tsv"
+
+    def batch_run(argv, text, source):
+        if source == "-":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        else:
+            batch.write_text(text, encoding="utf-8")
+        code = run(argv + ["--batch", source])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for fmt in ("text", "json"):
+        argv = ["eq", "-n", "6", "--format", fmt]
+        answers = []
+        for left, right in pairs:
+            assert run(argv + [left, right]) in (0, 1)
+            answers.append(capsys.readouterr().out)
+        assert len(set(answers)) == 2
+        text = "\n".join(lines) + "\n"
+        for source in (str(batch), "-"):
+            assert batch_run(argv, text, source) == (0, "".join(answers), "")
+        head_text = "".join(line + "\n" for line in lines[:head])
+        head_answers = "".join(answers[: sum(1 for line in lines[:head] if line)])
+        for left, right in bad_pairs:
+            assert run(argv + [left, right]) == 2
+            error = capsys.readouterr().err
+            bad = f"{head_text}{left}\t{right}\ns1\ts1\n"
+            for source in (str(batch), "-"):
+                assert batch_run(argv, bad, source) == (
+                    2, head_answers, f"line {head + 1}: {error}"
+                )
+
+
 def test_python_dash_m_entry_point():
     import subprocess
     import sys

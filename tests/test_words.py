@@ -103,24 +103,71 @@ def _parse_outcome(parse, text, n):
     return w.n, w.letters
 
 
+_SEPARATORS = [" ", "\t", "\n", "\r", "\x1c", "\x85", "\u00a0", "\u2003"]
+_CORPUS_TOKENS = ["s01", "e0", "s١", "E", "s2'", "s1^-", "s1s2",
+                  "s1", "s3^-1", "e2", "t1", "s11", "e12", "q"]
+
+
+def _random_text(rng):
+    """Up to five tokens, good and bad, between runs of mixed whitespace."""
+    parts = [rng.choice(_SEPARATORS) * rng.randint(0, 2)]
+    for _ in range(rng.randint(0, 5)):
+        parts += [rng.choice(_CORPUS_TOKENS), rng.choice(_SEPARATORS) * rng.randint(1, 2)]
+    if rng.random() < 0.5:
+        parts.pop()
+    return "".join(parts)
+
+
 def test_parse_matches_character_scanner(rng):
-    separators = [" ", "\t", "\n", "\r", "\x1c", "\x85", "\u00a0", "\u2003"]
-    tokens = ["s01", "e0", "s١", "E", "s2'", "s1^-", "s1s2",
-              "s1", "s3^-1", "e2", "t1", "s11", "e12", "q"]
     errors = 0
     for _ in range(4000):
-        parts = [rng.choice(separators) * rng.randint(0, 2)]
-        for _ in range(rng.randint(0, 5)):
-            parts += [rng.choice(tokens), rng.choice(separators) * rng.randint(1, 2)]
-        if rng.random() < 0.5:
-            parts.pop()
-        text = "".join(parts)
+        text = _random_text(rng)
         n = rng.randint(0, 12)
         expected = _parse_outcome(_char_scan_parse, text, n)
         assert _parse_outcome(parse_word, text, n) == expected, (text, n)
         errors += expected[0] is WordSyntaxError
     # both outcomes are well represented in the corpus
     assert 1000 < errors < 3000
+
+
+def _canonical_tokens(n):
+    crossings = [f(i) for i in range(1, n) for f in (sigma, sigma_inv, xi)]
+    return [letter.token() for letter in crossings + [epsilon(i) for i in range(1, n + 1)]]
+
+
+def test_parse_through_a_warm_table_matches_a_fresh_parse(rng):
+    # eq --batch shares one token table across every word of a run; with it
+    # every word and every error must be what a fresh parse gives
+    texts = [_random_text(rng) for _ in range(4000)]
+    for n in range(13):
+        canonical = " ".join(_canonical_tokens(n))
+        # bad tokens after neighbours that are already stored: out of
+        # range, zero indices, malformed, and the first bad token wins
+        late = [f"{canonical} s{n}", f"s1 e{n + 1}", "e1 s0", "e1 e0 s1",
+                f"{canonical} q", "s1 s1^- s1", f"e1 s{n + 1} q"]
+        fresh = {text: _parse_outcome(parse_word, text, n)
+                 for text in [canonical] + texts + late}
+        seen = {}
+        for text in [canonical] + texts + late + texts:
+            assert _parse_outcome(
+                lambda t, n: parse_word(t, n, seen), text, n
+            ) == fresh[text], (text, n)
+        assert seen == {token: parse_word(token, n).letters[0]
+                        for token in _canonical_tokens(n)}
+
+
+def test_token_table_holds_canonical_spellings_only():
+    # 500 spellings of sigma_1 and every other alias parse, but only the
+    # 4n-3 canonical tokens are stored
+    n = 5
+    canonical = _canonical_tokens(n)
+    spellings = ["s" + "0" * k + "1" for k in range(500)]
+    text = " ".join(spellings + canonical + ["E", "s1'", "s١", "s01^-1", "e05"])
+    seen = {}
+    for _ in range(2):
+        assert parse_word(text, n, seen) == parse_word(text, n)
+    assert sorted(seen) == sorted(canonical)
+    assert len(seen) == 4 * n - 3 == 17
 
 
 def test_word_validation():
