@@ -20,20 +20,6 @@ from . import freegroup
 from .freegroup import FreeWord, ResourceLimitError
 from .words import EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word, _Frozen
 
-__all__ = [
-    "PartialEndo",
-    "PartialInjection",
-    "AbelianClass",
-    "ResourceLimitError",
-    "letter_endo",
-    "compose",
-    "evaluate",
-    "equal_action",
-    "tau",
-    "compose_injection",
-    "abelian_invariant",
-]
-
 Images = tuple[FreeWord | None, ...]
 
 

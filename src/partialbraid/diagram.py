@@ -9,7 +9,6 @@ together with every crossing it was involved in.
 
 from __future__ import annotations
 
-from . import action
 from .words import (
     EPSILON, SIGMA, SIGMA_INV, XI, Word, _Frozen, epsilon, sigma, sigma_inv
 )
@@ -43,11 +42,6 @@ class Skeleton(_Frozen):
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "braid", braid)
         object.__setattr__(self, "mapping", mapping)
-
-    def injection(self) -> action.PartialInjection:
-        """The partial injection the skeleton induces: each domain element
-        to the codomain element its strand reaches."""
-        return action.PartialInjection(self.n, self.mapping)
 
     def __str__(self) -> str:
         dom = ",".join(str(i) for i in self.domain)

@@ -41,11 +41,6 @@ def longest_perm(k: int) -> Perm:
     return tuple(range(k - 1, -1, -1))
 
 
-def compose_perms(p: Perm, q: Perm) -> Perm:
-    """Diagram order: p first, then q."""
-    return tuple(q[v] for v in p)
-
-
 def invert_perm(p: Perm) -> Perm:
     inv = [0] * len(p)
     for i, v in enumerate(p):

@@ -33,30 +33,24 @@ class _Frozen:
 
     Equal to a value of the same class with equal fields, hashed on the
     field tuple, shown as ``Class(field=value, ...)``, and pickled through
-    the constructor, so unpickling validates (and interns) again.  The
-    field-tuple methods are compiled per class, as dataclasses does them:
-    reading the fields by name costs twice as much per comparison.
+    the constructor, so unpickling validates (and interns) again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__)
-        mine = "".join(f"self.{f}," for f in fields)
-        theirs = mine.replace("self.", "other.")
-        methods: dict = {}
-        exec(
-            f"def _values(self):\n    return ({mine})\n"
-            f"def __hash__(self):\n    return hash(({mine}))\n"
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is self.__class__:\n"
-            f"        return ({mine}) == ({theirs})\n"
-            "    return NotImplemented\n",
-            methods,
-        )
-        for name in ("_values", "__hash__", "__eq__"):
-            if name not in cls.__dict__:
-                setattr(cls, name, methods[name])
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -470,11 +464,6 @@ _SUITES = {
 }
 
 SUITE_IDS = tuple(_SUITES)
-
-# The default engine of a suite, where it is not "garside" (which hands
-# welded words to the action): sym-inverse only holds after projecting to
-# partial injections.
-SUITE_ENGINES = {"sym-inverse": "injection"}
 
 
 def relation_suite(suite_id: str, n: int) -> tuple[RelationPair, ...]:

@@ -134,6 +134,58 @@ def test_engine_overrides_every_suite_default(capsys):
     assert payload["failed"] == 0
 
 
+def test_injection_engine_matches_tau(rng):
+    # sym-inverse's default engine compares strand maps; the action's
+    # projection tau is the independent oracle for it
+    from conftest import random_word
+    from partialbraid.action import tau
+    from partialbraid.cli import _equal
+    from partialbraid.freegroup import MAX_LETTERS
+    from partialbraid.words import parse_word, relation_suite
+
+    # equal domain and codomain, different maps; equal codomain only
+    pairs = [
+        (parse_word(a, n), parse_word(b, n))
+        for a, b, n in [("s1", "", 2), ("s1 s2", "s2 s1", 3), ("e3 s1", "e3", 3),
+                        ("e1 s1", "e2", 2), ("e1 s2", "e1 e2 e3 s1", 3)]
+    ]
+    while len(pairs) < 600:
+        n = rng.randint(1, 6)
+        if len(pairs) % 2 == 0:
+            rel = rng.choice(relation_suite("sym-inverse", n))
+            before, after = random_word(rng, n, 6), random_word(rng, n, 6)
+            pairs.append((before * rel.left * after, before * rel.right * after))
+        else:
+            pairs.append((random_word(rng, n, 8), random_word(rng, n, 8)))
+    verdicts = {True: 0, False: 0}
+    for w1, w2 in pairs:
+        expected = tau(w1) == tau(w2)
+        assert _equal("injection", w1, w2, MAX_LETTERS) == expected, (str(w1), str(w2))
+        verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sym_inverse_default_engine_never_reaches_the_cap(fmt, capsys):
+    # strand maps are compared without the action, so no cap applies;
+    # the action engine keeps it
+    for n in range(1, 9):
+        argv = ["verify-presentation", "-n", str(n), "--format", fmt, "--max-letters", "1"]
+        assert run(argv + ["sym-inverse"]) == 0, n
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["engine"] == "injection"
+            assert payload["failed"] == 0 and all(r["ok"] for r in payload["relations"])
+        else:
+            lines = out.splitlines()
+            assert all(line.startswith("PASS ") for line in lines[:-1]), n
+            assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} relations hold"
+        if n >= 2:
+            assert run(argv + ["--engine", "action", "sym-inverse"]) == 3, n
+            assert capsys.readouterr().err.startswith("resource limit: ")
+
+
 def _exit_code(argv) -> int:
     try:
         return run(argv)

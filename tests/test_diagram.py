@@ -51,7 +51,7 @@ def test_skeleton_examples():
 
 def test_skeleton_validates_strand_map():
     braid = Word(1)
-    assert Skeleton(2, (2,), (1,), braid, (None, 1)).injection().mapping == (None, 1)
+    assert Skeleton(2, (2,), (1,), braid, (None, 1)).mapping == (None, 1)
     with pytest.raises(ValueError):
         Skeleton(2, (2,), (1,), braid, (None, 1, None))
 
@@ -127,7 +127,7 @@ def _check_skeleton(word):
     ends = position_tracking_map(word)
     assert skel.domain == tuple(sorted(ends))
     assert skel.codomain == tuple(sorted(ends.values()))
-    assert {s: skel.injection().mapping[s - 1] for s in ends} == ends
+    assert {s: skel.mapping[s - 1] for s in ends} == ends
 
 
 def test_skeleton_matches_reference_tracker():
@@ -234,7 +234,7 @@ def test_delete_strand_splits_over_products(rng):
 def test_skeleton_agrees_with_tau(rng):
     for _ in range(400):
         word = random_word(rng, rng.randint(0, 6), 20)
-        assert evaluate_skeleton(word).injection() == tau(word), str(word)
+        assert evaluate_skeleton(word).mapping == tau(word).mapping, str(word)
 
 
 def test_makanin_examples():
