@@ -294,7 +294,11 @@ def equal_nf(w1: Word, w2: Word) -> bool:
        either survivor braid is built.
     2. The braid group is a quotient of the free group on the crossings,
        so survivor braids that freely reduce to the same word answer True.
-    3. Otherwise the left normal forms of the reduced braids decide.
+    3. Otherwise the reduced braids lose their longest common prefix, then
+       their longest common suffix within what the prefix left, and the
+       left normal forms of the two remaining cores decide: the survivor
+       braids lie in the group B_k, where p u s = p v s exactly when
+       u = v.
 
     Raises ValueError on a strand-count mismatch, then on xi letters in
     either word.
@@ -312,7 +316,15 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     r1, r2 = project(b1, ranks), project(b2, ranks)
     if r1 == r2:
         return True
-    return _rank_nf(k, r1) == _rank_nf(k, r2)
+    m = min(len(r1), len(r2))
+    i = 0
+    while i < m and r1[i] == r2[i]:
+        i += 1
+    # the suffix scan stops where the prefix ends, so the two never overlap
+    j = 0
+    while j < m - i and r1[-1 - j] == r2[-1 - j]:
+        j += 1
+    return _rank_nf(k, r1[i : len(r1) - j]) == _rank_nf(k, r2[i : len(r2) - j])
 
 
 def is_i_makanin(w: Word, i: int) -> bool:

@@ -54,6 +54,20 @@ MUTANTS = [
         ["tests/test_garside.py::test_equal_nf_examples"],
     ),
     (
+        "equal_nf's suffix scan runs into the cancelled prefix",
+        "garside.py",
+        "    while j < m - i and r1[-1 - j] == r2[-1 - j]:\n",
+        "    while j < m and r1[-1 - j] == r2[-1 - j]:\n",
+        ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
+    ),
+    (
+        "equal_nf cancels one letter past the common prefix",
+        "garside.py",
+        "    while i < m and r1[i] == r2[i]:\n        i += 1\n",
+        "    while i < m and r1[i] == r2[i]:\n        i += 1\n    i = min(i + 1, m)\n",
+        ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
+    ),
+    (
         "freegroup.project cancels r, r",
         "freegroup.py",
         "        if out and out[-1] == -x:\n            out.pop()\n        else:\n"

@@ -31,6 +31,7 @@ from partialbraid.garside import (
 )
 from partialbraid.words import (
     EPSILON,
+    SIGMA,
     Word,
     delta_word,
     epsilon,
@@ -321,11 +322,12 @@ def _freely_reduced(braid):
 
 
 def _count_calls(monkeypatch, name):
-    """Patch garside.<name> to record each call in the returned list."""
+    """Patch garside.<name> to record each call's arguments in the
+    returned list."""
     calls = []
     real = getattr(garside, name)
     monkeypatch.setattr(
-        garside, name, lambda *args: calls.append(1) or real(*args)
+        garside, name, lambda *args: calls.append(args) or real(*args)
     )
     return calls
 
@@ -472,6 +474,139 @@ def test_equal_nf_free_reduction_hypothesis(monkeypatch):
     check()
     print(f"hypothesis inserted pairs: {counts}")
     assert all(counts.values()), counts
+
+
+def _reduced_ranks(word):
+    """Signed survivor ranks of word's freely reduced braid."""
+    return tuple(
+        letter.index if letter.kind == SIGMA else -letter.index
+        for letter in _freely_reduced(evaluate_skeleton(word).braid)
+    )
+
+
+def _crossings(rng, n, max_len):
+    return list(random_braid_word(rng, n, max_len).letters)
+
+
+def _sides(rng, n, shape):
+    """Crossing words u, v: a far commutation, a braid relation (both
+    equal, mirrored at random), s_i s_i against the empty word, or two
+    random words."""
+    if shape == "commutation":
+        i = rng.randint(1, n - 3)
+        j = rng.randint(i + 2, n - 1)
+        u, v = [sigma(i), sigma(j)], [sigma(j), sigma(i)]
+    elif shape == "braid relation":
+        i = rng.randint(1, n - 2)
+        u = [sigma(i), sigma(i + 1), sigma(i)]
+        v = [sigma(i + 1), sigma(i), sigma(i + 1)]
+    elif shape == "square":
+        i = rng.randint(1, n - 1)
+        return [sigma(i), sigma(i)], []
+    else:
+        return _crossings(rng, n, 6), _crossings(rng, n, 6)
+    if rng.random() < 0.5:
+        u, v = (list(mirror_inverse(Word(n, tuple(x))).letters) for x in (u, v))
+    return u, v
+
+
+def test_equal_nf_cancels_common_prefix_and_suffix(monkeypatch):
+    # seeded: 1,320 pairs, n = 2..12, deletions in the contexts p and s:
+    # p u s against p v s for relation sides and random u, v; p against
+    # p v, s against v s, and powers p c^a s against p c^b s, where the
+    # common prefix and suffix scans could overlap
+    rng = random.Random(0xC0E5)
+    nf_calls = _count_calls(monkeypatch, "_rank_nf")
+    shapes = ["commutation", "braid relation", "square", "random",
+              "prefix", "suffix", "power"]
+    seen = {(shape, verdict): 0 for shape in shapes for verdict in (False, True)}
+    empty_cores = oracle_checked = cap_hits = 0
+    for n in range(2, 13):
+        for k in range(120):
+            shape = shapes[k % len(shapes)]
+            if shape == "commutation" and n < 4 or shape == "braid relation" and n < 3:
+                shape = "square"
+            share = rng.uniform(0.0, 0.3)
+            p = list(_word_with_deletions(rng, n, n, share).letters)
+            s = list(_word_with_deletions(rng, n, n, share).letters)
+            if shape == "prefix":
+                a, b = p, p + _crossings(rng, n, 6)
+            elif shape == "suffix":
+                a, b = s, _crossings(rng, n, 6) + s
+            elif shape == "power":
+                c = _crossings(rng, n, 3) or [sigma(1)]
+                a = p + c * rng.randint(0, 3) + s
+                b = p + c * rng.randint(0, 3) + s
+            else:
+                u, v = _sides(rng, n, shape)
+                a, b = p + u + s, p + v + s
+            w1, w2 = Word(n, tuple(a)), Word(n, tuple(b))
+            del nf_calls[:]
+            got = equal_nf(w1, w2)
+            cores = [ranks for _, ranks in nf_calls]
+            assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
+            if shape in ("commutation", "braid relation"):
+                assert got, (str(w1), str(w2))
+            if cores:
+                # the cores are one window of both reduced braids, with the
+                # same common prefix and suffix cut from each, and neither
+                # scan stopped early
+                c1, c2 = cores
+                r1, r2 = _reduced_ranks(w1), _reduced_ranks(w2)
+                cut = len(r1) - len(c1)
+                assert cut == len(r2) - len(c2), (str(w1), str(w2))
+                assert any(
+                    r1[:i] == r2[:i]
+                    and r1[i : i + len(c1)] == c1
+                    and r2[i : i + len(c2)] == c2
+                    and r1[i + len(c1) :] == r2[i + len(c2) :]
+                    for i in range(cut + 1)
+                ), (str(w1), str(w2))
+                assert not c1 or not c2 or (c1[0] != c2[0] and c1[-1] != c2[-1])
+                empty_cores += not c1 or not c2
+                seen[shape, got] += 1
+            if n <= 5:
+                try:
+                    expected = equal_action(w1, w2, max_letters=20_000)
+                except ResourceLimitError:
+                    cap_hits += 1
+                else:
+                    oracle_checked += 1
+                    assert got == expected, (str(w1), str(w2))
+    print(
+        f"equal_nf cores: normal forms per (shape, verdict) {seen}; "
+        f"{empty_cores} with an empty core; action oracle checked "
+        f"{oracle_checked}, {cap_hits} hit the letter cap"
+    )
+    for shape in shapes:
+        assert seen[shape, False] + seen[shape, True], shape
+    assert seen["braid relation", True] and seen["random", False], seen
+    assert empty_cores and oracle_checked
+
+
+@pytest.mark.parametrize(
+    "n, a, b, core1, core2, verdict",
+    [
+        # deletions in the context; the relation's sides are the cores
+        (5, "e5 s3 s2^-1 s3 s1 s2 s1 s3 s1^-1 s2 e5",
+         "e5 s3 s2^-1 s3 s2 s1 s2 s3 s1^-1 s2 e5", (1, 2, 1), (2, 1, 2), True),
+        # the suffix scan stops where the prefix scan ended
+        (2, "s1 s1", "s1 s1 s1 s1", (), (1, 1), False),
+        (2, "s1 s1 s1 s1", "s1 s1", (1, 1), (), False),
+        (3, "s1 s2^-1", "s1 s2^-1 s1 s1", (), (1, 1), False),
+        (3, "s2 s1", "s1 s1 s2 s1", (), (1, 1), False),
+        # an empty core equal to a braid relation's cycle
+        (3, "s2^-1 s1 s2 s1 s2^-1 s1^-1 s2^-1 s1^-1", "s2^-1 s1^-1",
+         (1, 2, 1, -2, -1, -2), (), True),
+    ],
+)
+def test_equal_nf_normal_forms_see_only_the_cores(
+    monkeypatch, n, a, b, core1, core2, verdict
+):
+    nf_calls = _count_calls(monkeypatch, "_rank_nf")
+    assert equal_nf(w(a, n), w(b, n)) is verdict
+    k = len(evaluate_skeleton(w(a, n)).domain)
+    assert nf_calls == [(k, core1), (k, core2)]
 
 
 def test_reconstruct_word_examples():
