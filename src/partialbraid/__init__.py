@@ -6,19 +6,16 @@ and Garside left normal forms), strand geometry, and the monoidal
 pairing/braiding structure.
 """
 
-from .action import (
+from .action import PartialEndo, compose, equal_action, evaluate, letter_endo, tau
+from .diagram import (
     AbelianClass,
-    PartialEndo,
     PartialInjection,
+    Skeleton,
     abelian_invariant,
-    compose,
     compose_injection,
-    equal_action,
-    evaluate,
-    letter_endo,
-    tau,
+    delete_strand,
+    evaluate_skeleton,
 )
-from .diagram import Skeleton, delete_strand, evaluate_skeleton
 from .freegroup import ResourceLimitError
 from .garside import (
     CanonicalForm,

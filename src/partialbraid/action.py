@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 
-from . import freegroup
+from . import diagram, freegroup
 from .freegroup import FreeWord, ResourceLimitError
-from .words import EPSILON, SIGMA, SIGMA_INV, XI, Letter, Word, _Frozen
+from .words import EPSILON, SIGMA, SIGMA_INV, Letter, Word, _Frozen
 
 Images = tuple[FreeWord | None, ...]
 
@@ -159,86 +159,8 @@ def equal_action(
     return evaluate(w1, max_letters).images == evaluate(w2, max_letters).images
 
 
-class PartialInjection(_Frozen):
-    """A partial injection of {1..n}; mapping[i-1] is the target of i or None."""
-
-    __slots__ = ("n", "mapping")
-
-    def __init__(self, n: int, mapping: tuple[int | None, ...]):
-        if len(mapping) != n:
-            raise ValueError(f"expected {n} entries, got {len(mapping)}")
-        targets = [j for j in mapping if j is not None]
-        if any(not 1 <= j <= n for j in targets):
-            raise ValueError("targets out of range")
-        if len(set(targets)) != len(targets):
-            raise ValueError("mapping is not injective")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mapping", mapping)
-
-    @staticmethod
-    def identity(n: int) -> PartialInjection:
-        return PartialInjection(n, tuple(range(1, n + 1)))
-
-    def inverse(self) -> PartialInjection:
-        inv: list[int | None] = [None] * self.n
-        for i, j in enumerate(self.mapping, 1):
-            if j is not None:
-                inv[j - 1] = i
-        return PartialInjection(self.n, tuple(inv))
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.mapping, 1) if j is not None)
-
-    def is_total(self) -> bool:
-        return all(j is not None for j in self.mapping)
-
-    def __str__(self) -> str:
-        pairs = ", ".join(
-            f"{i}->{j}" for i, j in enumerate(self.mapping, 1) if j is not None
-        )
-        return "{" + pairs + "}"
-
-
-def compose_injection(p: PartialInjection, q: PartialInjection) -> PartialInjection:
-    """Composite in word order: i -> q(p(i)) where the chain is defined."""
-    if p.n != q.n:
-        raise ValueError(f"size mismatch: {p.n} vs {q.n}")
-    mapping = tuple(
-        q.mapping[j - 1] if j is not None else None for j in p.mapping
-    )
-    return PartialInjection(p.n, mapping)
-
-
-def tau(w: Word, max_letters: int = freegroup.MAX_LETTERS) -> PartialInjection:
+def tau(
+    w: Word, max_letters: int = freegroup.MAX_LETTERS
+) -> diagram.PartialInjection:
     """Project a word to the partial injection it induces on strand endpoints."""
-    return PartialInjection(w.n, evaluate(w, max_letters).index_map())
-
-
-GROUP_CLASS = "group"
-EPSILON_CLASS = "epsilon"
-
-
-class AbelianClass(_Frozen):
-    """Image in the commutative quotient: an exponent sum for honest braids,
-    one absorbing class for anything with a deleted strand."""
-
-    __slots__ = ("kind", "exponent_sum")
-
-    def __init__(self, kind: str, exponent_sum: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "exponent_sum", exponent_sum)
-
-
-def abelian_invariant(w: Word) -> AbelianClass:
-    """Commutative-quotient invariant of a word without welded letters."""
-    kinds = w.kinds()
-    if XI in kinds:
-        raise ValueError("abelian invariant is not defined for xi letters")
-    # crossings only permute strands, so the first deletion always finds a
-    # live strand: a word deletes a strand exactly when it has an e letter
-    if EPSILON in kinds:
-        return AbelianClass(EPSILON_CLASS)
-    total = sum(1 for letter in w.letters if letter.kind == SIGMA) - sum(
-        1 for letter in w.letters if letter.kind == SIGMA_INV
-    )
-    return AbelianClass(GROUP_CLASS, total)
+    return diagram.PartialInjection(w.n, evaluate(w, max_letters).index_map())

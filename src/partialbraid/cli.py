@@ -171,10 +171,7 @@ def _equal(engine: str, w1: Word, w2: Word, max_letters: int) -> bool:
     if engine == "action":
         return action.equal_action(w1, w2, max_letters=max_letters)
     if engine == "injection":
-        return (
-            diagram.evaluate_skeleton(w1).mapping
-            == diagram.evaluate_skeleton(w2).mapping
-        )
+        return diagram._occupants(w1) == diagram._occupants(w2)
     return monoidal._equal(w1, w2, max_letters)
 
 
@@ -322,8 +319,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_abelian(args) -> int:
-    cls = action.abelian_invariant(words.parse_word(args.word, args.n))
-    if cls.kind == action.GROUP_CLASS:
+    cls = diagram.abelian_invariant(words.parse_word(args.word, args.n))
+    if cls.kind == diagram.GROUP_CLASS:
         _emit(args, f"group {cls.exponent_sum}", {"class": "group", "sum": cls.exponent_sum})
     else:
         _emit(args, "epsilon", {"class": "epsilon"})

@@ -8,8 +8,8 @@ honest braid, which is what the decomposition here computes.
 
 from __future__ import annotations
 
-from .action import PartialInjection, equal_action
-from .diagram import evaluate_skeleton
+from .action import equal_action
+from .diagram import PartialInjection, evaluate_skeleton
 from .freegroup import MAX_LETTERS
 from .garside import _deletions_and_spread, domain_prefix_letters, equal_nf
 from .words import (

@@ -5,17 +5,19 @@ import pytest
 from conftest import position_tracking_map, random_word
 from partialbraid import words as W
 from partialbraid.action import (
-    AbelianClass,
     PartialEndo,
-    PartialInjection,
     ResourceLimitError,
-    abelian_invariant,
     compose,
-    compose_injection,
     equal_action,
     evaluate,
     letter_endo,
     tau,
+)
+from partialbraid.diagram import (
+    AbelianClass,
+    PartialInjection,
+    abelian_invariant,
+    compose_injection,
 )
 from partialbraid.words import (
     Word,

@@ -1,0 +1,71 @@
+"""Module layering and the package's export list.
+
+The free-group action is the independent oracle and the welded engine; the
+strand modules must not lean on it.  These checks read the sources with
+ast, because importing the package loads every module anyway.
+"""
+
+import ast
+from pathlib import Path
+
+import partialbraid
+
+SRC = Path(partialbraid.__file__).resolve().parent
+
+# sorted(partialbraid.__all__): the public names, submodules included
+EXPORTS = [
+    "AbelianClass", "CanonicalForm", "GarsideNF", "Letter", "PartialEndo",
+    "PartialInjection", "RelationPair", "ResourceLimitError", "Skeleton",
+    "Word", "WordSyntaxError", "abelian_invariant", "action", "braiding_word",
+    "canonical_form", "check_naturality", "compose", "compose_injection",
+    "delete_strand", "delta_word", "diagram", "epsilon", "epsilon_block",
+    "equal_action", "equal_nf", "evaluate", "evaluate_skeleton", "factorize",
+    "format_word", "freegroup", "garside", "is_central", "is_i_makanin",
+    "is_makanin", "is_permutation_braid", "left_greedy_nf", "letter_endo",
+    "mirror_inverse", "monoidal", "mu", "parse_word", "perm_to_word",
+    "positive_lift", "reconstruct_word", "relation_suite", "shift_word",
+    "sigma", "sigma_inv", "tau", "word_to_perm", "words", "xi",
+]
+
+
+def _action_imports(module: str) -> list[list[str]]:
+    """The names each import of the action in module brings in; a plain
+    module import counts as the name "action"."""
+    found = []
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.module in ("action", "partialbraid.action"):
+                found.append(names)
+            elif node.module in (None, "partialbraid") and "action" in names:
+                found.append(["action"])
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "partialbraid.action" for alias in node.names):
+                found.append(["action"])
+    return found
+
+
+def test_strand_modules_import_nothing_from_the_action():
+    for module in ("words.py", "diagram.py", "garside.py"):
+        assert _action_imports(module) == [], module
+
+
+def test_monoidal_takes_only_the_welded_engine_from_the_action():
+    assert _action_imports("monoidal.py") == [["equal_action"]]
+
+
+def test_export_list_is_unchanged():
+    assert sorted(partialbraid.__all__) == EXPORTS
+
+
+def test_strand_facts_live_in_diagram():
+    from partialbraid import action, diagram
+
+    moved = ("PartialInjection", "compose_injection", "AbelianClass",
+             "abelian_invariant")
+    for name in moved:
+        assert getattr(partialbraid, name).__module__ == "partialbraid.diagram"
+        assert not hasattr(action, name), name
+    for name in ("GROUP_CLASS", "EPSILON_CLASS"):
+        assert hasattr(diagram, name) and not hasattr(action, name), name
+    assert partialbraid.tau.__module__ == "partialbraid.action"

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from conftest import random_braid_word, random_word
-from partialbraid.action import PartialInjection, equal_action, tau
+from partialbraid.action import equal_action, tau
+from partialbraid.diagram import PartialInjection
 from partialbraid.garside import canonical_form, equal_nf, reconstruct_word
 from partialbraid.monoidal import (
     check_naturality,

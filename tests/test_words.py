@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partialbraid import words as W
-from partialbraid.action import AbelianClass, PartialEndo, PartialInjection
-from partialbraid.diagram import Skeleton
+from partialbraid.action import PartialEndo
+from partialbraid.diagram import AbelianClass, PartialInjection, Skeleton
 from partialbraid.garside import CanonicalForm, GarsideNF
 from partialbraid.words import (
     Letter,
