@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 
 from . import diagram, freegroup
-from .freegroup import FreeWord, ResourceLimitError
+from .freegroup import FreeWord
 from .words import EPSILON, SIGMA, SIGMA_INV, Letter, Word, _Frozen
 
 Images = tuple[FreeWord | None, ...]

@@ -122,25 +122,35 @@ def _occupants(w: Word) -> list[int | None]:
     return occupant
 
 
-def _replay(w: Word, occupant: list[int | None]) -> tuple:
-    """Second pass: (mapping, domain, codomain, signed survivor ranks).
-
-    The word is replayed with only the survivors placed, so a crossing
-    with a strand deleted later is a plain move, and a crossing of two
-    survivors gets its rank from above[p], the number of survivors at
-    positions before p, negated for an inverse crossing.
-    """
-    n = w.n
-    mapping: list[int | None] = [None] * n
+def _strand_map(occupant: list[int | None]) -> tuple:
+    """(mapping, domain, codomain) of the partial injection whose occupant
+    list is occupant: the strand map that skeletons and canonical forms
+    report, read off the first pass without touching the word."""
+    mapping: list[int | None] = [None] * len(occupant)
     for p, strand in enumerate(occupant):
         if strand is not None:
             mapping[strand - 1] = p + 1
     codomain = tuple(
         p + 1 for p, strand in enumerate(occupant) if strand is not None
     )
-    live = [end is not None for end in mapping]
-    domain = tuple(p + 1 for p in range(n) if live[p])
+    domain = tuple(s for s, end in enumerate(mapping, 1) if end is not None)
+    return tuple(mapping), domain, codomain
 
+
+def _replay(w: Word, occupant: list[int | None]) -> list[int]:
+    """Second pass: the survivors' crossings as signed ranks.
+
+    The strands named in occupant, the first pass of w, start live and
+    the rest start empty.  The word is replayed with only those survivors
+    placed, so a crossing with a strand deleted later is a plain move, and
+    a crossing of two survivors gets its rank from above[p], the number of
+    survivors at positions before p, negated for an inverse crossing.
+    """
+    n = w.n
+    live = [False] * n
+    for strand in occupant:
+        if strand is not None:
+            live[strand - 1] = True
     above = [0] * n
     for p in range(1, n):
         above[p] = above[p - 1] + live[p - 1]
@@ -160,21 +170,22 @@ def _replay(w: Word, occupant: list[int | None]) -> tuple:
         elif b:
             live[p], live[p + 1] = True, False
             above[p + 1] += 1
-    return tuple(mapping), domain, codomain, braid
+    return braid
 
 
 def evaluate_skeleton(w: Word) -> Skeleton:
     """Track strands through w and return its skeleton.
 
     Two passes, O(len(w) + n): _occupants follows the occupant of every
-    position to find the survivors and where each one ends, and _replay
-    replays the word with only the survivors placed to read off the
-    underlying braid.  Raises ValueError on welded (xi) letters.
+    position to find the survivors and where each one ends, from which
+    _strand_map reads the strand map, and _replay replays the word with
+    only the survivors placed to read off the underlying braid.  Raises
+    ValueError on welded (xi) letters.
     """
-    mapping, domain, codomain, braid = _replay(w, _occupants(w))
-    return Skeleton(
-        w.n, domain, codomain, _crossing_word(len(domain), braid), mapping
-    )
+    occupant = _occupants(w)
+    mapping, domain, codomain = _strand_map(occupant)
+    braid = _crossing_word(len(domain), _replay(w, occupant))
+    return Skeleton(w.n, domain, codomain, braid, mapping)
 
 
 def delete_strand(braid: Word, start_pos: int) -> Word:

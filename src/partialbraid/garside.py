@@ -16,7 +16,7 @@ The Makanin tests are decided here too, by their definition through it.
 
 from __future__ import annotations
 
-from .diagram import _occupants, _replay
+from .diagram import _occupants, _replay, _strand_map
 from .freegroup import project
 from .words import (
     SIGMA,
@@ -281,7 +281,9 @@ class CanonicalForm(_Frozen):
 
 def canonical_form(w: Word) -> CanonicalForm:
     """Skeleton of w with its underlying braid put in left normal form."""
-    _, domain, codomain, ranks = _replay(w, _occupants(w))
+    occupant = _occupants(w)
+    _, domain, codomain = _strand_map(occupant)
+    ranks = _replay(w, occupant)
     return CanonicalForm(w.n, domain, codomain, _rank_nf(len(domain), ranks))
 
 
@@ -308,9 +310,8 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     occupant = _occupants(w1)
     if occupant != _occupants(w2):
         return False
-    _, domain, _, b1 = _replay(w1, occupant)
-    b2 = _replay(w2, occupant)[3]
-    k = len(domain)
+    k = w1.n - occupant.count(None)
+    b1, b2 = _replay(w1, occupant), _replay(w2, occupant)
     # every rank lies in 1..k-1, so projecting onto them only reduces freely
     ranks = range(1, k)
     r1, r2 = project(b1, ranks), project(b2, ranks)

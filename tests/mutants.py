@@ -68,6 +68,15 @@ MUTANTS = [
         ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
     ),
     (
+        "survivor ranks start live at end positions, not start strands",
+        "diagram.py",
+        "    for strand in occupant:\n        if strand is not None:\n"
+        "            live[strand - 1] = True\n",
+        "    for p, strand in enumerate(occupant):\n        if strand is not None:\n"
+        "            live[p] = True\n",
+        ["tests/test_diagram.py::test_skeleton_edge_cases"],
+    ),
+    (
         "freegroup.project cancels r, r",
         "freegroup.py",
         "        if out and out[-1] == -x:\n            out.pop()\n        else:\n"

@@ -9,7 +9,8 @@ import random
 import time
 
 from conftest import letter_pool, random_braid_word, random_word
-from partialbraid.action import ResourceLimitError, equal_action, tau
+from partialbraid import ResourceLimitError
+from partialbraid.action import equal_action, tau
 from partialbraid.diagram import PartialInjection, compose_injection
 from partialbraid.garside import (
     canonical_form,

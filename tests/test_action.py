@@ -3,10 +3,9 @@ import itertools
 import pytest
 
 from conftest import position_tracking_map, random_word
-from partialbraid import words as W
+from partialbraid import ResourceLimitError, words as W
 from partialbraid.action import (
     PartialEndo,
-    ResourceLimitError,
     compose,
     equal_action,
     evaluate,

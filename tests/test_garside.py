@@ -10,8 +10,8 @@ from conftest import (
     random_pure_braid,
     random_word,
 )
-from partialbraid import garside
-from partialbraid.action import ResourceLimitError, equal_action
+from partialbraid import ResourceLimitError, garside
+from partialbraid.action import equal_action
 from partialbraid.diagram import evaluate_skeleton
 from partialbraid.garside import (
     CanonicalForm,
@@ -258,6 +258,12 @@ def test_equal_nf_examples():
     assert equal_nf(w("s1 s2 s1", 3), w("s2 s1 s2", 3))
     # a pure braid has the identity's strand map but is not the identity
     assert not equal_nf(w("s1 s1", 2), Word(2))
+    # at most one survivor: no crossing has a rank, so the strand maps decide
+    assert equal_nf(Word(0), Word(0))
+    assert equal_nf(w("e1", 1), w("e1 e1", 1))
+    assert not equal_nf(w("", 1), w("e1", 1))
+    assert equal_nf(w("s1 e1 e2", 2), w("e2 e1", 2))
+    assert equal_nf(w("e2 s1 s1^-1 s1", 2), w("e2 s1", 2))
     with pytest.raises(ValueError):
         equal_nf(w("", 2), w("", 3))
 
