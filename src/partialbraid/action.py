@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 
 from . import diagram, freegroup
-from .freegroup import FreeWord
+from .freegroup import FreeWord, ResourceLimitError
 from .words import EPSILON, SIGMA, SIGMA_INV, Letter, Word, _Frozen
 
 Images = tuple[FreeWord | None, ...]
@@ -115,14 +115,22 @@ def letter_endo(letter: Letter, n: int) -> PartialEndo:
 
 def _compose_images(first: Images, second: Images, max_letters: int) -> Images:
     mapped: list[FreeWord | None] = []
-    for img in first:
-        if img is None:
-            mapped.append(None)
-            continue
-        u = freegroup.substitute_erasing(img, second, max_letters)
-        # a surviving strand's image is a conjugate, never empty; an image
-        # erased to nothing means the strand just got deleted
-        mapped.append(u if u else None)
+    try:
+        for img in first:
+            if img is None:
+                mapped.append(None)
+                continue
+            u = freegroup.substitute_erasing(img, second, max_letters)
+            # a surviving strand's image is a conjugate, never empty; an image
+            # erased to nothing means the strand just got deleted
+            mapped.append(u if u else None)
+    except ResourceLimitError as exc:
+        exc.strand = len(mapped) + 1
+        raise
+    if None not in mapped:
+        # no strand deleted: with an injective index map the cores are all
+        # of 1..n, so projecting the reduced images would erase nothing
+        return tuple(mapped)
     cores = frozenset(u[len(u) // 2] for u in mapped if u)
     return tuple(
         freegroup.project(u, cores) if u is not None else None for u in mapped
@@ -139,14 +147,21 @@ def compose(
 
 
 def evaluate(w: Word, max_letters: int = freegroup.MAX_LETTERS) -> PartialEndo:
-    """Fold the letter actions of w left to right."""
+    """Fold the letter actions of w left to right.
+
+    A cap hit raises ResourceLimitError naming the letter and the strand.
+    """
     images = _identity_images(w.n)
-    for letter in w.letters:
-        images = _compose_images(
-            images, _letter_images(letter.kind, letter.index, w.n), max_letters
-        )
-        if all(img is None for img in images):
-            break  # the empty braid absorbs everything after it
+    try:
+        for position, letter in enumerate(w.letters, 1):
+            images = _compose_images(
+                images, _letter_images(letter.kind, letter.index, w.n), max_letters
+            )
+            if all(img is None for img in images):
+                break  # the empty braid absorbs everything after it
+    except ResourceLimitError as exc:
+        exc.position, exc.token = position, letter.token()
+        raise
     return PartialEndo(w.n, images)
 
 

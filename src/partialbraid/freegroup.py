@@ -16,7 +16,27 @@ MAX_LETTERS = 10 ** 6
 
 
 class ResourceLimitError(RuntimeError):
-    """A free word outgrew the configured letter cap."""
+    """A free word outgrew the configured letter cap.
+
+    length is the number of letters the word reached and cap the cap it
+    passed.  When the word is a strand's image under a braid word, the
+    action fills in where: strand (the start strand whose image grew), then
+    position (1-based) and token of the letter being applied.
+    """
+
+    def __init__(self, length: int, cap: int):
+        super().__init__(length, cap)
+        self.length, self.cap = length, cap
+        self.strand: int | None = None
+        self.position: int | None = None
+        self.token: str | None = None
+
+    def __str__(self) -> str:
+        what = "free word" if self.strand is None else f"image of strand {self.strand}"
+        text = f"{what} reached {self.length} letters, over the cap of {self.cap}"
+        if self.position is None:
+            return text
+        return f"letter {self.position} ({self.token}): {text}"
 
 
 def substitute_erasing(
@@ -44,9 +64,7 @@ def substitute_erasing(
                 else:
                     out.append(y)
                     if len(out) > max_letters:
-                        raise ResourceLimitError(
-                            f"free word exceeded {max_letters} letters"
-                        )
+                        raise ResourceLimitError(len(out), max_letters)
         else:
             for y in reversed(img):
                 if out and out[-1] == y:
@@ -54,9 +72,7 @@ def substitute_erasing(
                 else:
                     out.append(-y)
                     if len(out) > max_letters:
-                        raise ResourceLimitError(
-                            f"free word exceeded {max_letters} letters"
-                        )
+                        raise ResourceLimitError(len(out), max_letters)
     return tuple(out)
 
 

@@ -96,6 +96,13 @@ MUTANTS = [
         ["tests/test_freegroup.py"],
     ),
     (
+        "projection skipped whenever every live image has its own core",
+        "action.py",
+        "    if None not in mapped:\n",
+        "    if len({u[len(u) // 2] for u in mapped if u}) == sum(1 for u in mapped if u):\n",
+        ["tests/test_action.py::test_compose_matches_evaluate"],
+    ),
+    (
         "monoidal._equal falls back to the action on every ValueError",
         "monoidal.py",
         "        if XI not in w1.kinds() and XI not in w2.kinds():\n            raise\n",

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import position_tracking_map, random_word
-from partialbraid import ResourceLimitError, words as W
+from partialbraid import ResourceLimitError, freegroup as F, words as W
 from partialbraid.action import (
     PartialEndo,
     compose,
@@ -248,8 +248,96 @@ def test_mirror_inverts_welded_words(rng):
 
 def test_resource_limit_surfaces():
     braid = parse_word("s1 s2 " * 40, 3)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as caught:
         evaluate(braid, max_letters=50)
+    exc = caught.value
+    assert (exc.position, exc.token, exc.strand, exc.length, exc.cap) == (
+        47, "s1", 2, 51, 50
+    )
+    assert str(exc) == (
+        "letter 47 (s1): image of strand 2 reached 51 letters, over the cap of 50"
+    )
+    # compose names the strand only; it knows no letter
+    big = evaluate(Word(3, braid.letters[:46]))
+    with pytest.raises(ResourceLimitError) as caught:
+        compose(big, letter_endo(sigma(1), 3), max_letters=50)
+    assert str(caught.value) == "image of strand 2 reached 51 letters, over the cap of 50"
+
+
+def _projecting_compose(first, second, max_letters):
+    """Composition that always projects the images onto the surviving cores."""
+    mapped = []
+    for strand, img in enumerate(first, 1):
+        try:
+            u = None if img is None else F.substitute_erasing(img, second, max_letters)
+        except ResourceLimitError as exc:
+            exc.strand = strand
+            raise
+        mapped.append(u or None)
+    cores = {u[len(u) // 2] for u in mapped if u}
+    return tuple(None if u is None else F.project(u, cores) for u in mapped)
+
+
+def _projecting_fold(word, max_letters):
+    """Images of word, or the (position, token, strand, length, cap) of its
+    cap hit, from the always-projecting composition."""
+    images = PartialEndo.identity(word.n).images
+    for position, letter in enumerate(word.letters, 1):
+        try:
+            images = _projecting_compose(
+                images, letter_endo(letter, word.n).images, max_letters
+            )
+        except ResourceLimitError as exc:
+            return position, letter.token(), exc.strand, exc.length, exc.cap
+    return images
+
+
+def _evaluate_or_cap_hit(word, max_letters):
+    try:
+        return evaluate(word, max_letters).images
+    except ResourceLimitError as exc:
+        return exc.position, exc.token, exc.strand, exc.length, exc.cap
+
+
+def _random_endo(rng, n):
+    """A validated partial endomorphism: random injective cores, each
+    conjugated by a random word over the codomain generators."""
+    domain = [i for i in range(1, n + 1) if rng.random() < 0.8]
+    cores = rng.sample(range(1, n + 1), len(domain))
+    images = [None] * n
+    for i, core in zip(domain, cores):
+        conj = [rng.choice(cores) * rng.choice((1, -1)) for _ in range(rng.randint(0, 12))]
+        images[i - 1] = F.project([-x for x in reversed(conj)] + [core] + conj, cores)
+    return PartialEndo(n, tuple(images)).validate()
+
+
+@pytest.mark.parametrize("cap", [200, F.MAX_LETTERS])
+def test_evaluate_matches_always_projecting_fold(rng, cap):
+    # crossing-only words never delete a strand, so they skip the
+    # projection throughout; partial words take it after their first
+    # deletion; the cap hits must be the same letter, strand and length
+    hits = 0
+    for n in range(2, 9):
+        for kind in ({"no_epsilon": True}, {"no_epsilon": True, "with_xi": True}, {}):
+            for _ in range(6):
+                word = random_word(rng, n, 40, **kind)
+                expected = _projecting_fold(word, cap)
+                assert _evaluate_or_cap_hit(word, cap) == expected, str(word)
+                hits += isinstance(expected[0], int)
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        e1, e2 = _random_endo(rng, n), _random_endo(rng, n)
+        try:
+            expected = _projecting_compose(e1.images, e2.images, cap)
+        except ResourceLimitError as exc:
+            expected = (exc.strand, exc.length, exc.cap)
+        try:
+            got = compose(e1, e2, cap).images
+        except ResourceLimitError as exc:
+            got = (exc.strand, exc.length, exc.cap)
+        assert got == expected
+        hits += isinstance(expected[0], int)
+    assert (hits > 0) == (cap == 200)
 
 
 def test_display_format():

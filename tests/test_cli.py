@@ -292,10 +292,16 @@ def test_welded_default_engine_matches_action(rng, capsys):
 
 def test_resource_limit_exit_three(capsys):
     word = "s1 s2 " * 40
-    assert run(["eval", "-n", "3", "--max-letters", "50", word]) == 3
+    located = (
+        "resource limit: letter 47 (s1): image of strand 2 reached 51 letters,"
+        " over the cap of 50\n"
+    )
+    for verb in ("eval", "tau"):
+        assert run([verb, "-n", "3", "--max-letters", "50", word]) == 3
+        assert capsys.readouterr().err == located
     # central runs welded words on the action engine, under the same cap
     assert run(["central", "-n", "3", "--max-letters", "50", "t1 " + word]) == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("resource limit: letter ")
 
 
 def test_batch_mode(tmp_path, capsys):
@@ -350,7 +356,10 @@ def test_batch_mode_resource_limit_names_the_line(tmp_path, capsys):
     assert run(argv + ["--batch", str(batch)]) == 3
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["true"]
-    assert captured.err.startswith("line 2: resource limit: ")
+    assert captured.err == (
+        "line 2: resource limit: letter 47 (s1): image of strand 2 reached 51"
+        " letters, over the cap of 50\n"
+    )
 
 
 def _aliases(letter):

@@ -121,8 +121,10 @@ def test_conjugate_decompose_round_trip(w, j):
 
 def test_letter_cap():
     # a positive and a negative letter, so both substitution loops are capped
-    with pytest.raises(F.ResourceLimitError):
+    with pytest.raises(F.ResourceLimitError) as caught:
         F.substitute_erasing((1, 1, 1), [(1, 2)], max_letters=5)
+    assert (caught.value.length, caught.value.cap) == (6, 5)
+    assert str(caught.value) == "free word reached 6 letters, over the cap of 5"
     with pytest.raises(F.ResourceLimitError):
         F.substitute_erasing((-1, -1, -1), [(1, 2)], max_letters=5)
     # at the cap exactly is fine
