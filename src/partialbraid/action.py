@@ -22,6 +22,12 @@ from .words import EPSILON, SIGMA, SIGMA_INV, Letter, Word, _Frozen
 
 Images = tuple[FreeWord | None, ...]
 
+# The fingerprint's field: a Mersenne prime, and 2x2 matrices over it kept
+# as (a, b, c, d) for [[a, b], [c, d]].
+_PRIME = 2 ** 127 - 1
+_ONE = (1, 0, 0, 1)
+Matrix = tuple[int, int, int, int]
+
 
 class PartialEndo(_Frozen):
     """A partial endomorphism x_i -> w_i^-1 x_{a(i)} w_i of a free group.
@@ -165,13 +171,98 @@ def evaluate(w: Word, max_letters: int = freegroup.MAX_LETTERS) -> PartialEndo:
     return PartialEndo(w.n, images)
 
 
+def _mul(x: Matrix, y: Matrix) -> Matrix:
+    a, b, c, d = x
+    e, f, g, h = y
+    p = _PRIME
+    return (
+        (a * e + b * g) % p, (a * f + b * h) % p,
+        (c * e + d * g) % p, (c * f + d * h) % p,
+    )
+
+
+def _inv(x: Matrix) -> Matrix:
+    """Inverse of a determinant-one matrix."""
+    a, b, c, d = x
+    return (d, -b % _PRIME, -c % _PRIME, a)
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_matrices(n: int) -> tuple[Matrix, ...]:
+    """n matrices of SL(2, Z/p) from a fixed seed, one per free generator."""
+    import random  # only the first fingerprint pays for loading it
+
+    rng = random.Random(0x1B)
+    matrices = []
+    for _ in range(n):
+        a = rng.randrange(1, _PRIME)
+        b, c = rng.randrange(_PRIME), rng.randrange(_PRIME)
+        matrices.append((a, b, c, (1 + b * c) * pow(a, -1, _PRIME) % _PRIME))
+    return tuple(matrices)
+
+
+def _fingerprint(w: Word, matrices: tuple[Matrix, ...]) -> tuple[Matrix | None, ...]:
+    """rho of every strand's image under w, or None for a deleted strand,
+    where rho sends x_j to matrices[j-1].
+
+    rho is a homomorphism, so different fingerprints prove different
+    images.  It is folded right to left, rho_k(x_j) = rho_{k+1}(f_k(x_j))
+    for the map f_k of letter k: each letter rewrites at most two matrices
+    by at most two products, and no free word is built.  The action erases
+    the generators of empty positions after every letter; the fold sends
+    the positions left empty by the whole word to the identity, and every
+    letter map keeps an empty position's matrix the identity.
+    """
+    n = w.n
+    occupant: list[int | None] = list(range(1, n + 1))
+    for letter in w.letters:
+        p = letter.index - 1
+        if letter.kind == EPSILON:
+            occupant[p] = None
+        else:
+            occupant[p], occupant[p + 1] = occupant[p + 1], occupant[p]
+    rho = [_ONE if s is None else m for s, m in zip(occupant, matrices)]
+    for letter in reversed(w.letters):
+        kind = letter.kind
+        i = letter.index - 1
+        if kind == SIGMA:
+            # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
+            a, b = rho[i], rho[i + 1]
+            rho[i], rho[i + 1] = b, _mul(_mul(_inv(b), a), b)
+        elif kind == SIGMA_INV:
+            # x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i
+            a, b = rho[i], rho[i + 1]
+            rho[i], rho[i + 1] = _mul(_mul(a, b), _inv(a)), a
+        elif kind == EPSILON:
+            rho[i] = _ONE
+        else:  # XI swaps the two generators
+            rho[i], rho[i + 1] = rho[i + 1], rho[i]
+    survivors = set(occupant)
+    return tuple(m if s in survivors else None for s, m in enumerate(rho, 1))
+
+
 def equal_action(
     w1: Word, w2: Word, max_letters: int = freegroup.MAX_LETTERS
 ) -> bool:
-    """Word-problem test: do the two words act identically?"""
+    """Word-problem test: do the two words act identically?
+
+    Different fingerprints answer False without building an image; only
+    then are both words evaluated, under max_letters, and compared.  A cap
+    hit names the word (1 or 2) being evaluated.
+    """
     if w1.n != w2.n:
         raise ValueError(f"strand-count mismatch: {w1.n} vs {w2.n}")
-    return evaluate(w1, max_letters).images == evaluate(w2, max_letters).images
+    matrices = _generator_matrices(w1.n)
+    if _fingerprint(w1, matrices) != _fingerprint(w2, matrices):
+        return False
+    images = []
+    for number, word in enumerate((w1, w2), 1):
+        try:
+            images.append(evaluate(word, max_letters).images)
+        except ResourceLimitError as exc:
+            exc.word = number
+            raise
+    return images[0] == images[1]
 
 
 def tau(

@@ -2,8 +2,11 @@
 
 Every verb takes the ambient strand count with -n and words as positional
 arguments in the usual token grammar.  Boolean verbs print true/false and
-exit 0/1; usage and word-syntax problems exit 2; blowing the free-word
-cap exits 3.
+exit 0/1; usage and word-syntax problems exit 2, and so does a strand
+count over MAX_STRANDS; exit 3 means a free word the action engine had to
+build outgrew the letter cap.  The action's equality builds none for a
+pair its fingerprints tell apart, so an unequal pair answers false under
+any cap unless its matrices collide.
 """
 
 from __future__ import annotations
@@ -18,13 +21,31 @@ from .words import Word
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
+# Largest strand count any verb accepts (-n, -m, braiding's blocks); the
+# engines allocate per strand, and checking the number first allocates
+# nothing.
+MAX_STRANDS = 1000
+
+
+def _int(text: str) -> int:
+    """An int argument, refused in argparse's own words."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _strand_count(text: str) -> int:
+    """A strand count: an int of at most MAX_STRANDS."""
+    value = _int(text)
+    if value > MAX_STRANDS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_STRANDS} strands, got {value}")
+    return value
+
 
 def _letter_cap(text: str) -> int:
     """--max-letters: an int of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -45,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(verb, help=help_text)
         sp.set_defaults(handler=handler)
         sp.add_argument(
-            "-n", dest="n", type=int, required=need_n, help="ambient strand count"
+            "-n", dest="n", type=_strand_count, required=need_n,
+            help="ambient strand count",
         )
         sp.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
@@ -95,7 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("start_pos", type=int)
 
     sp = add("mu", "place two words side by side (-n strands, then -m)", _cmd_mu)
-    sp.add_argument("-m", dest="m", type=int, required=True, help="strands of the right word")
+    sp.add_argument(
+        "-m", dest="m", type=_strand_count, required=True,
+        help="strands of the right word",
+    )
     sp.add_argument("left")
     sp.add_argument("right")
 
@@ -103,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         "braiding", "block transposition braid on m + n2 strands", _cmd_braiding,
         need_n=False,
     )
-    sp.add_argument("m", type=int)
-    sp.add_argument("n2", type=int)
+    sp.add_argument("m", type=_strand_count)
+    sp.add_argument("n2", type=_strand_count)
 
     sp = add("factor", "idempotent times full braid decomposition", _cmd_factor)
     sp.add_argument("word")
@@ -186,7 +211,17 @@ def _cmd_eq(args) -> int:
         return USAGE_ERROR
     w1 = words.parse_word(args.words[0], args.n)
     w2 = words.parse_word(args.words[1], args.n)
-    return _bool_result(args, _equal(args.engine, w1, w2, args.max_letters))
+    try:
+        value = _equal(args.engine, w1, w2, args.max_letters)
+    except ResourceLimitError as exc:
+        print(f"resource limit: {_in_word(exc)}", file=sys.stderr)
+        return RESOURCE_ERROR
+    return _bool_result(args, value)
+
+
+def _in_word(exc: ResourceLimitError) -> str:
+    """eq's cap message: which of the two words, then where in it."""
+    return f"word {exc.word}, {exc}"
 
 
 def _cmd_eq_batch(args) -> int:
@@ -215,7 +250,9 @@ def _cmd_eq_batch(args) -> int:
                 w2 = words.parse_word(parts[1], args.n, seen)
                 value = _equal(args.engine, w1, w2, args.max_letters)
             except ResourceLimitError as exc:
-                print(f"line {lineno}: resource limit: {exc}", file=sys.stderr)
+                print(
+                    f"line {lineno}: resource limit: {_in_word(exc)}", file=sys.stderr
+                )
                 return RESOURCE_ERROR
             except ValueError as exc:
                 print(f"line {lineno}: error: {exc}", file=sys.stderr)

@@ -21,7 +21,8 @@ class ResourceLimitError(RuntimeError):
     length is the number of letters the word reached and cap the cap it
     passed.  When the word is a strand's image under a braid word, the
     action fills in where: strand (the start strand whose image grew), then
-    position (1-based) and token of the letter being applied.
+    position (1-based) and token of the letter being applied, and
+    equal_action adds word, which of its two words (1 or 2) it was.
     """
 
     def __init__(self, length: int, cap: int):
@@ -30,6 +31,7 @@ class ResourceLimitError(RuntimeError):
         self.strand: int | None = None
         self.position: int | None = None
         self.token: str | None = None
+        self.word: int | None = None
 
     def __str__(self) -> str:
         what = "free word" if self.strand is None else f"image of strand {self.strand}"

@@ -11,7 +11,12 @@ from __future__ import annotations
 from .action import equal_action
 from .diagram import PartialInjection, evaluate_skeleton
 from .freegroup import MAX_LETTERS
-from .garside import _deletions_and_spread, domain_prefix_letters, equal_nf
+from .garside import (
+    _deletions_and_spread,
+    canonical_form,
+    domain_prefix_letters,
+    equal_nf,
+)
 from .words import (
     XI,
     Word,
@@ -84,8 +89,23 @@ def positive_lift(p: PartialInjection) -> Word:
 def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
     """Does w commute with every generator of its monoid?
 
-    Welded words are decided by the action engine under max_letters.
+    The centre of IB_n is the even powers of the half-twist together with
+    the empty braid, so one canonical form decides a word without welded
+    letters: an empty domain, or a full one with no factors and an even
+    half-twist power.  Welded words are decided by definition, on the
+    action engine under max_letters.
     """
+    if XI in w.kinds():
+        return _commutes_with_generators(w, max_letters)
+    form = canonical_form(w)
+    nf = form.nf
+    return not form.domain or (
+        len(form.domain) == w.n and not nf.factors and nf.inf % 2 == 0
+    )
+
+
+def _commutes_with_generators(w: Word, max_letters: int = MAX_LETTERS) -> bool:
+    """The definition: w g == g w for every sigma_i and epsilon_i."""
     n = w.n
     generators = [Word(n, (sigma(i),)) for i in range(1, n)]
     generators += [Word(n, (epsilon(i),)) for i in range(1, n + 1)]

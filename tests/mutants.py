@@ -103,6 +103,20 @@ MUTANTS = [
         ["tests/test_action.py::test_compose_matches_evaluate"],
     ),
     (
+        "fingerprint's inverse crossing folds like a crossing",
+        "action.py",
+        "            rho[i], rho[i + 1] = _mul(_mul(a, b), _inv(a)), a\n",
+        "            rho[i], rho[i + 1] = b, _mul(_mul(_inv(b), a), b)\n",
+        ["tests/test_action.py::test_fingerprint_is_rho_of_the_images"],
+    ),
+    (
+        "is_central accepts odd half-twist powers",
+        "monoidal.py",
+        " and not nf.factors and nf.inf % 2 == 0\n",
+        " and not nf.factors\n",
+        ["tests/test_monoidal.py::test_is_central_refuses_odd_twist_powers"],
+    ),
+    (
         "monoidal._equal falls back to the action on every ValueError",
         "monoidal.py",
         "        if XI not in w1.kinds() and XI not in w2.kinds():\n            raise\n",

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from conftest import position_tracking_map, random_word
+from conftest import letter_pool, position_tracking_map, random_word
 from partialbraid import ResourceLimitError, freegroup as F, words as W
 from partialbraid.action import (
     PartialEndo,
+    _fingerprint,
+    _generator_matrices,
     compose,
     equal_action,
     evaluate,
@@ -338,6 +340,116 @@ def test_evaluate_matches_always_projecting_fold(rng, cap):
         assert got == expected
         hits += isinstance(expected[0], int)
     assert (hits > 0) == (cap == 200)
+
+
+P = 2 ** 127 - 1
+
+
+def _rho(free_word, matrices):
+    """The matrix of a free word: the product of its letters' matrices,
+    an inverse letter read as the adjugate of its determinant-one matrix."""
+    product = (1, 0, 0, 1)
+    for x in free_word:
+        a, b, c, d = matrices[abs(x) - 1]
+        e, f, g, h = (a, b, c, d) if x > 0 else (d, -b, -c, a)
+        p, q, r, s = product
+        product = tuple(
+            v % P for v in (p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
+        )
+    return product
+
+
+def test_fingerprint_is_rho_of_the_images(rng):
+    # 3,000 seeded words with crossings, deletions and swaps: the right to
+    # left fold gives rho of the images evaluate builds left to right
+    deleted = 0
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        word = random_word(rng, n, 40, with_xi=True)
+        matrices = _generator_matrices(n)
+        assert all((a * d - b * c) % P == 1 for a, b, c, d in matrices)
+        expected = tuple(
+            None if img is None else _rho(img, matrices)
+            for img in evaluate(word).images
+        )
+        assert _fingerprint(word, matrices) == expected, str(word)
+        deleted += None in expected
+    assert 0 < deleted < 3000
+
+
+def test_unequal_pairs_never_reach_the_cap(rng):
+    # n=10 braids of 400 letters: evaluating one runs into the default cap
+    # after seconds, but a pair differing in one letter, dropped or
+    # inverted, is told apart by its fingerprints, even under a cap of one
+    pool = letter_pool(10, no_epsilon=True)
+    for _ in range(8):
+        letters = [rng.choice(pool) for _ in range(400)]
+        k = rng.randrange(400)
+        inverse = W.mirror_inverse(Word(10, (letters[k],))).letters
+        word = Word(10, tuple(letters))
+        for middle in (), inverse:
+            other = Word(10, tuple(letters[:k]) + middle + tuple(letters[k + 1 :]))
+            assert not equal_action(word, other)
+            assert not equal_action(word, other, max_letters=1)
+        with pytest.raises(ResourceLimitError):
+            evaluate(word, max_letters=1000)
+
+
+def _fresh_matrices(rng, n):
+    """n random determinant-one matrices, independent of the fixed ones."""
+    matrices = []
+    for _ in range(n):
+        a, b, c = rng.randrange(1, P), rng.randrange(P), rng.randrange(P)
+        matrices.append((a, b, c, (1 + b * c) * pow(a, -1, P) % P))
+    return tuple(matrices)
+
+
+def test_fingerprints_agree_with_normal_forms_beyond_the_cap(rng):
+    # braids the action cannot evaluate (n up to 40, up to 800 letters, a
+    # few deletions): p u s against p v s, u and v the sides of a relation
+    # or two random words.  Equal normal forms with different fingerprints
+    # would be a proven bug; unequal normal forms with equal fingerprints
+    # are drawn again with fresh matrices, and a second match is a bug
+    from partialbraid.garside import equal_nf
+
+    verdicts = {True: 0, False: 0}
+    for n, length in [(10, 400), (10, 800), (20, 400), (40, 400), (40, 800)]:
+        crossings = letter_pool(n, no_epsilon=True)
+        relations = relation_suite("ibn-balanced", n)
+        for _ in range(6):
+            p, s = ([rng.choice(crossings) for _ in range(length // 2)] for _ in "ps")
+            if rng.random() < 0.5:
+                p[rng.randrange(len(p))] = epsilon(rng.randint(1, n))
+            if rng.random() < 0.5:
+                rel = rng.choice(relations)
+                u, v = rel.left.letters, rel.right.letters
+            else:
+                u, v = ([rng.choice(crossings) for _ in range(rng.randint(1, 6))]
+                        for _ in "uv")
+            w1 = Word(n, tuple(p) + tuple(u) + tuple(s))
+            w2 = Word(n, tuple(p) + tuple(v) + tuple(s))
+            equal = equal_nf(w1, w2)
+            matrices = _generator_matrices(n)
+            same = _fingerprint(w1, matrices) == _fingerprint(w2, matrices)
+            if same and not equal:
+                matrices = _fresh_matrices(rng, n)
+                same = _fingerprint(w1, matrices) == _fingerprint(w2, matrices)
+            assert same == equal, (str(w1), str(w2))
+            verdicts[equal] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_equal_pairs_still_raise_at_the_cap():
+    # equal words have equal fingerprints, so both are evaluated under the
+    # cap; the error says which word outgrew it
+    braid = parse_word("s1 s2 " * 40, 3)
+    padded = parse_word("s1 s1^-1", 3) * braid
+    unwound = braid * W.mirror_inverse(braid)
+    for pair, number in ((braid, padded), 1), ((parse_word("s2 s2^-1", 3), unwound), 2):
+        with pytest.raises(ResourceLimitError) as caught:
+            equal_action(*pair, max_letters=50)
+        assert caught.value.word == number
+        assert equal_action(*pair)
 
 
 def test_display_format():

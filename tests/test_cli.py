@@ -226,6 +226,37 @@ def test_max_letters_below_one_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_strand_counts_over_the_bound_are_usage_errors(monkeypatch, capsys):
+    # -n, -m and braiding's blocks are checked as they are read, before any
+    # word is parsed or built
+    from partialbraid import cli, words
+
+    over = str(cli.MAX_STRANDS + 1)
+
+    def refuse(*args):
+        raise AssertionError("a word was built for an oversized strand count")
+
+    monkeypatch.setattr(words, "parse_word", refuse)
+    monkeypatch.setattr(words, "braiding_word", refuse)
+    for argv, flag in [
+        (["eq", "-n", over, "s1", "s1"], "-n"),
+        (["canon", "-n", over, "s1"], "-n"),
+        (["braiding", "-n", over, "1", "1"], "-n"),
+        (["mu", "-n", "1", "-m", over, "", ""], "-m"),
+        (["braiding", over, "1"], "m"),
+        (["braiding", "1", over], "n2"),
+    ]:
+        assert _exit_code(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"argument {flag}: at most {cli.MAX_STRANDS} strands, got {over}" in err
+    monkeypatch.undo()
+    # the bound itself is accepted
+    bound = str(cli.MAX_STRANDS)
+    assert run(["canon", "-n", bound, "s1"]) == 0
+    assert run(["braiding", "-n", bound, "1", str(cli.MAX_STRANDS - 1)]) == 0
+    capsys.readouterr()
+
+
 def test_parse_error_exit_two(capsys):
     assert run(["eq", "-n", "2", "s9", "e1"]) == 2
     assert run(["eval", "-n", "2", "zz"]) == 2
@@ -243,11 +274,19 @@ def test_welded_pairs_answered_by_default_engine(tmp_path, capsys):
     batch.write_text("s1\ts1\nt1 t1\t\nt1 e1\te2 t1\nt1\ts1\n")
     assert run(["eq", "-n", "2", "--batch", str(batch)]) == 0
     assert out_lines(capsys) == ["true", "true", "true", "false"]
-    batch.write_text("t1\tt1\n" + "t1 s1 s2 " * 30 + "\ts1\nt1\tt1\n")
+    # an unequal pair is told apart by its fingerprint, whatever the cap;
+    # an equal one is evaluated under it, and the cap names line and word
+    long_word = "t1 s1 s2 " * 30
+    batch.write_text(
+        f"t1\tt1\n{long_word}\ts1\n{long_word}\tt1 t1 {long_word}\nt1\tt1\n"
+    )
     assert run(["eq", "-n", "3", "--max-letters", "50", "--batch", str(batch)]) == 3
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == ["true"]
-    assert captured.err.startswith("line 2: resource limit: ")
+    assert captured.out.splitlines() == ["true", "false"]
+    assert captured.err == (
+        "line 3: resource limit: word 1, letter 74 (s1): image of strand 1"
+        " reached 51 letters, over the cap of 50\n"
+    )
 
 
 def _welded_pairs(rng, count=240):
@@ -299,9 +338,30 @@ def test_resource_limit_exit_three(capsys):
     for verb in ("eval", "tau"):
         assert run([verb, "-n", "3", "--max-letters", "50", word]) == 3
         assert capsys.readouterr().err == located
-    # central runs welded words on the action engine, under the same cap
-    assert run(["central", "-n", "3", "--max-letters", "50", "t1 " + word]) == 3
-    assert capsys.readouterr().err.startswith("resource limit: letter ")
+    # eq names the word it was evaluating; an unequal pair never reaches
+    # the cap, because the fingerprints tell it apart first
+    eq = ["eq", "-n", "3", "--engine", "action", "--max-letters", "50"]
+    assert run(eq + [word, "s1"]) == 1
+    assert capsys.readouterr().out == "false\n"
+    unwound = word + "s2^-1 s1^-1 " * 40
+    for pair, number in ([word, "s1 s1^-1 " + word], 1), (["s1 s1^-1", unwound], 2):
+        assert run(eq + pair) == 3
+        assert capsys.readouterr().err == located.replace(
+            "limit: ", f"limit: word {number}, "
+        )
+    # central runs welded words on the action engine, under the same cap;
+    # (s1 s2)^39 is a power of the full twist, so the word is central and
+    # every commutator it is checked against is evaluated
+    central = "t1 t1 " + "s1 s2 " * 39
+    assert run(["central", "-n", "3", central]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert run(["central", "-n", "3", "--max-letters", "50", central]) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: letter 49 (s1): image of strand 2 reached 51 letters,"
+        " over the cap of 50\n"
+    )
+    assert run(["central", "-n", "3", "--max-letters", "50", "t1 " + word]) == 1
+    assert capsys.readouterr().out == "false\n"
 
 
 def test_batch_mode(tmp_path, capsys):
@@ -351,14 +411,17 @@ def test_batch_mode_names_the_failing_line(tmp_path, capsys):
 
 def test_batch_mode_resource_limit_names_the_line(tmp_path, capsys):
     batch = tmp_path / "pairs.tsv"
-    batch.write_text("s1\ts1\n" + "s1 s2 " * 40 + "\ts1\n")
+    long_word = "s1 s2 " * 40
+    # the unequal pair on line 2 is answered; the equal one on line 3 hits
+    # the cap in its first word
+    batch.write_text(f"s1\ts1\n{long_word}\ts1\n{long_word}\ts1 s1^-1 {long_word}\n")
     argv = ["eq", "-n", "3", "--engine", "action", "--max-letters", "50"]
     assert run(argv + ["--batch", str(batch)]) == 3
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == ["true"]
+    assert captured.out.splitlines() == ["true", "false"]
     assert captured.err == (
-        "line 2: resource limit: letter 47 (s1): image of strand 2 reached 51"
-        " letters, over the cap of 50\n"
+        "line 3: resource limit: word 1, letter 47 (s1): image of strand 2"
+        " reached 51 letters, over the cap of 50\n"
     )
 
 

@@ -7,6 +7,7 @@ from partialbraid.action import equal_action, tau
 from partialbraid.diagram import PartialInjection
 from partialbraid.garside import canonical_form, equal_nf, reconstruct_word
 from partialbraid.monoidal import (
+    _commutes_with_generators,
     check_naturality,
     factorize,
     is_central,
@@ -17,6 +18,7 @@ from partialbraid.garside import is_permutation_braid
 from partialbraid.words import (
     EPSILON,
     SIGMA,
+    Letter,
     Word,
     braiding_word,
     delta_word,
@@ -201,6 +203,26 @@ def test_is_central_agrees_with_action_oracle(rng):
     assert not is_central(w("t1", 3))
 
 
+def test_is_central_refuses_odd_twist_powers(rng):
+    # the half-twist reverses the strands, so no odd power of it is
+    # central, however it is written: u Delta tau(u)^-1 is Delta itself
+    # (tau the index reversal), and u Delta u^-1 a conjugate of it; the
+    # square of either is central
+    for n in range(3, 7):
+        twist = delta_word(n)
+        for _ in range(6):
+            u = random_braid_word(rng, n, 6)
+            reversed_u = Word(n, tuple(Letter(x.kind, n - x.index) for x in u))
+            disguised = u * twist * mirror_inverse(reversed_u)
+            conjugate = u * twist * mirror_inverse(u)
+            for word in disguised, conjugate:
+                assert not is_central(word), str(word)
+                assert not is_central(word * word * word), str(word)
+                assert is_central(word * word), str(word)
+            assert canonical_form(disguised) == canonical_form(twist)
+            assert not _commutes_with_generators(disguised)
+
+
 def test_equal_dispatch_error_path(monkeypatch):
     from partialbraid import garside, monoidal
     from partialbraid.freegroup import ResourceLimitError
@@ -210,11 +232,13 @@ def test_equal_dispatch_error_path(monkeypatch):
         with pytest.raises(ValueError, match=r"^strand-count mismatch: 2 vs 3$"):
             monoidal._equal(w(left, 2), w(right, 3))
     # a cap hit on a welded pair is raised on its own, not chained to the
-    # normal forms' refusal
+    # normal forms' refusal; the pair is equal, so its fingerprints agree
+    # and the action has to evaluate it
     long_word = w("t1 s1 s2 " * 30, 3)
     with pytest.raises(ResourceLimitError) as caught:
-        monoidal._equal(long_word, w("s1", 3), max_letters=50)
+        monoidal._equal(long_word, w("t1 t1", 3) * long_word, max_letters=50)
     assert caught.value.__context__ is None
+    assert not monoidal._equal(long_word, w("s1", 3), max_letters=50)
 
     # any other refusal of a pair with no welded letter is raised, and the
     # action never answers it
