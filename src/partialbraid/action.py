@@ -94,10 +94,9 @@ def _identity_images(n: int) -> Images:
     return tuple((i,) for i in range(1, n + 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _letter_images(kind: str, index: int, n: int) -> Images:
-    base: list[FreeWord | None] = [(i,) for i in range(1, n + 1)]
-    i = index
+def _letter_images(kind: str, i: int, identity: Images) -> Images:
+    """identity with the letter's one or two images replaced."""
+    base: list[FreeWord | None] = list(identity)
     if kind == SIGMA:
         base[i - 1] = (i + 1,)
         base[i] = (-(i + 1), i, i + 1)
@@ -116,7 +115,7 @@ def letter_endo(letter: Letter, n: int) -> PartialEndo:
     """The action of a single generator letter on n free generators."""
     if not letter.fits(n):
         raise ValueError(f"letter {letter.token()} out of range for n={n}")
-    return PartialEndo(n, _letter_images(letter.kind, letter.index, n))
+    return PartialEndo(n, _letter_images(letter.kind, letter.index, _identity_images(n)))
 
 
 def _compose_images(first: Images, second: Images, max_letters: int) -> Images:
@@ -157,11 +156,11 @@ def evaluate(w: Word, max_letters: int = freegroup.MAX_LETTERS) -> PartialEndo:
 
     A cap hit raises ResourceLimitError naming the letter and the strand.
     """
-    images = _identity_images(w.n)
+    images = identity = _identity_images(w.n)
     try:
         for position, letter in enumerate(w.letters, 1):
             images = _compose_images(
-                images, _letter_images(letter.kind, letter.index, w.n), max_letters
+                images, _letter_images(letter.kind, letter.index, identity), max_letters
             )
             if all(img is None for img in images):
                 break  # the empty braid absorbs everything after it

@@ -137,7 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("abelian", "commutative-quotient invariant", _cmd_abelian)
     sp.add_argument("word")
 
-    sp = add("central", "does the word commute with every generator?", _cmd_central, capped=True)
+    sp = add(
+        "central", "does the word commute with every sigma_i and epsilon_i?",
+        _cmd_central, capped=True,
+    )
     sp.add_argument("word")
 
     sp = add(
@@ -374,34 +377,43 @@ def _cmd_central(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """One row per relation; a relation that hits the letter cap gets a CAP
+    row (ok null), its resource-limit line on stderr, and exit 3."""
     suite = args.suite
     engine = args.engine or _SUITE_ENGINES.get(suite, "garside")
     relations = words.relation_suite(suite, args.n)
-    failures = 0
+    failures = capped = 0
     rows = []
     for rel in relations:
-        ok = _equal(engine, rel.left, rel.right, args.max_letters)
-        failures += not ok
+        try:
+            ok = _equal(engine, rel.left, rel.right, args.max_letters)
+        except ResourceLimitError as exc:
+            print(f"resource limit: {exc}", file=sys.stderr)
+            ok = None
+        failures += ok is False
+        capped += ok is None
         rows.append(
             {"tag": rel.tag, "left": str(rel.left), "right": str(rel.right), "ok": ok}
         )
         if args.format == "text":
-            status = "PASS" if ok else "FAIL"
+            status = {True: "PASS", False: "FAIL", None: "CAP"}[ok]
             print(f"{status} {rel.tag}: {rel.left or '1'} == {rel.right or '1'}")
     if args.format == "json":
-        print(
-            _json(
-                {
-                    "suite": suite,
-                    "n": args.n,
-                    "engine": engine,
-                    "relations": rows,
-                    "failed": failures,
-                }
-            )
-        )
+        payload = {
+            "suite": suite,
+            "n": args.n,
+            "engine": engine,
+            "relations": rows,
+            "failed": failures,
+        }
+        if capped:
+            payload["capped"] = capped
+        print(_json(payload))
     else:
-        print(f"{len(relations) - failures}/{len(relations)} relations hold")
+        held = len(relations) - failures - capped
+        print(f"{held}/{len(relations)} relations hold")
+    if capped:
+        return RESOURCE_ERROR
     return 0 if failures == 0 else 1
 
 

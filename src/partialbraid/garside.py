@@ -24,6 +24,7 @@ from .words import (
     Word,
     _Frozen,
     delta_word,
+    domain_prefix_letters,
     epsilon,
     mirror_inverse,
     sigma,
@@ -359,18 +360,6 @@ def is_makanin(w: Word) -> bool:
     if None in _occupants(w):
         raise ValueError("Makanin test needs a full braid")
     return all(_deleting_leaves_trivial(w, i) for i in range(1, w.n + 1))
-
-
-def domain_prefix_letters(domain: tuple[int, ...]) -> tuple:
-    """Positive runs walking the strands of domain down to positions 1..k.
-
-    Run t descends sigma_{i_t - 1} ... sigma_t and is empty when i_t = t.
-    """
-    letters = []
-    for t, i_t in enumerate(domain, 1):
-        for g in range(i_t - 1, t - 1, -1):
-            letters.append(sigma(g))
-    return tuple(letters)
 
 
 def reconstruct_word(c: CanonicalForm) -> Word:

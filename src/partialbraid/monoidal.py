@@ -11,16 +11,12 @@ from __future__ import annotations
 from .action import equal_action
 from .diagram import PartialInjection, evaluate_skeleton
 from .freegroup import MAX_LETTERS
-from .garside import (
-    _deletions_and_spread,
-    canonical_form,
-    domain_prefix_letters,
-    equal_nf,
-)
+from .garside import _deletions_and_spread, canonical_form, equal_nf
 from .words import (
     XI,
     Word,
     braiding_word,
+    domain_prefix_letters,
     epsilon,
     mirror_inverse,
     shift_word,
@@ -87,13 +83,13 @@ def positive_lift(p: PartialInjection) -> Word:
 
 
 def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
-    """Does w commute with every generator of its monoid?
+    """Does w commute with every sigma_i and epsilon_i?
 
     The centre of IB_n is the even powers of the half-twist together with
     the empty braid, so one canonical form decides a word without welded
     letters: an empty domain, or a full one with no factors and an even
-    half-twist power.  Welded words are decided by definition, on the
-    action engine under max_letters.
+    half-twist power.  Welded words are decided by that definition, on the
+    action engine under max_letters; the swaps t_i are not tried.
     """
     if XI in w.kinds():
         return _commutes_with_generators(w, max_letters)

@@ -268,18 +268,26 @@ def delta_word(k: int) -> Word:
     return Word(k, tuple(letters))
 
 
+def domain_prefix_letters(domain: tuple[int, ...]) -> tuple[Letter, ...]:
+    """Positive runs walking the strands of domain down to positions 1..k.
+
+    Run t descends sigma_{i_t - 1} ... sigma_t and is empty when i_t = t.
+    """
+    return tuple(
+        sigma(g) for t, i_t in enumerate(domain, 1) for g in range(i_t - 1, t - 1, -1)
+    )
+
+
 def braiding_word(m: int, n2: int) -> Word:
     """The block transposition braid in Br_{m+n2}.
 
-    Run j (j = 1..n2) is the descending run sigma_{m+j-1} ... sigma_j; the
-    word carries the first m strands over the last n2.
+    The runs gathering the last n2 strands to the front: run j (j = 1..n2)
+    is sigma_{m+j-1} ... sigma_j, and the word carries the first m strands
+    over the last n2.
     """
     if m < 0 or n2 < 0:
         raise ValueError("block sizes must be >= 0")
-    letters = [
-        sigma(i) for j in range(1, n2 + 1) for i in range(m + j - 1, j - 1, -1)
-    ]
-    return Word(m + n2, tuple(letters))
+    return Word(m + n2, domain_prefix_letters(tuple(range(m + 1, m + n2 + 1))))
 
 
 def shift_word(w: Word, offset: int, new_n: int) -> Word:

@@ -110,6 +110,13 @@ MUTANTS = [
         ["tests/test_action.py::test_fingerprint_is_rho_of_the_images"],
     ),
     (
+        "letter maps cached for the life of the process",
+        "action.py",
+        "def _letter_images(",
+        "@functools.lru_cache(maxsize=None)\ndef _letter_images(",
+        ["tests/test_action.py::test_letter_maps_do_not_outlive_evaluate"],
+    ),
+    (
         "is_central accepts odd half-twist powers",
         "monoidal.py",
         " and not nf.factors and nf.inf % 2 == 0\n",

@@ -52,6 +52,44 @@ def test_letter_endo_range_check():
         letter_endo(epsilon(3), 2)
 
 
+def test_letter_maps_do_not_outlive_evaluate():
+    # each of the 597 crossing and swap letters of n = 200 once: a table
+    # kept per letter would hold about 1.1 MB of 200-tuples after the call
+    import gc
+    import tracemalloc
+
+    n = 200
+    word = Word(
+        n,
+        tuple(sigma(i) for i in range(1, n))
+        + tuple(sigma_inv(i) for i in range(n - 1, 0, -1))
+        + tuple(xi(i) for i in range(1, n)),
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(word)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 500_000, left
+    # and every letter map is still the identity with its one or two
+    # images replaced
+    n = 5
+    identity = [(j,) for j in range(1, n + 1)]
+    for i in range(1, n):
+        for letter, pair in (
+            (sigma(i), [(i + 1,), (-(i + 1), i, i + 1)]),
+            (sigma_inv(i), [(i, i + 1, -i), (i,)]),
+            (xi(i), [(i + 1,), (i,)]),
+            (epsilon(i), [None, (i + 1,)]),
+        ):
+            expected = tuple(identity[: i - 1] + pair + identity[i + 1 :])
+            assert letter_endo(letter, n).images == expected, letter.token()
+    assert letter_endo(epsilon(n), n).images == tuple(identity[:-1]) + (None,)
+
+
 def test_sigma_inverse_really_inverts():
     for n in (2, 3, 4):
         for i in range(1, n):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from partialbraid.cli import run
+from partialbraid.words import relation_suite
 
 
 def out_lines(capsys):
@@ -183,7 +184,24 @@ def test_sym_inverse_default_engine_never_reaches_the_cap(fmt, capsys):
             assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} relations hold"
         if n >= 2:
             assert run(argv + ["--engine", "action", "sym-inverse"]) == 3, n
-            assert capsys.readouterr().err.startswith("resource limit: ")
+            captured = capsys.readouterr()
+            assert captured.err.startswith("resource limit: ")
+            # a capped relation gets its own row and the rest still run
+            rows = len(relation_suite("sym-inverse", n))
+            limits = captured.err.count("resource limit: ")
+            if fmt == "json":
+                payload = json.loads(captured.out)
+                oks = [r["ok"] for r in payload["relations"]]
+                assert len(oks) == rows and payload["capped"] == oks.count(None) == limits
+                assert payload["failed"] == oks.count(False)
+            else:
+                lines = captured.out.splitlines()
+                assert len(lines) == rows + 1
+                statuses = [line.split()[0] for line in lines[:-1]]
+                assert statuses.count("CAP") == limits
+                assert lines[-1] == f"{statuses.count('PASS')}/{rows} relations hold"
+                if n == 2:
+                    assert statuses == ["FAIL", "PASS", "CAP", "CAP"]
 
 
 def _exit_code(argv) -> int:

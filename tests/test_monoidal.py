@@ -203,6 +203,13 @@ def test_is_central_agrees_with_action_oracle(rng):
     assert not is_central(w("t1", 3))
 
 
+def test_is_central_tries_sigmas_and_epsilons_only():
+    # s1 s1 t1 t1 commutes with s1, e1 and e2 but not with the swap t1
+    word, t1 = w("s1 s1 t1 t1", 2), w("t1", 2)
+    assert is_central(word)
+    assert not equal_action(word * t1, t1 * word)
+
+
 def test_is_central_refuses_odd_twist_powers(rng):
     # the half-twist reverses the strands, so no odd power of it is
     # central, however it is written: u Delta tau(u)^-1 is Delta itself
