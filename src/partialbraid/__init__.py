@@ -6,7 +6,6 @@ and Garside left normal forms), strand geometry, and the monoidal
 pairing/braiding structure.
 """
 
-from .action import PartialEndo, compose, equal_action, evaluate, letter_endo, tau
 from .diagram import (
     AbelianClass,
     PartialInjection,
@@ -56,4 +55,21 @@ from .words import (
     xi,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The free-group action's names, loaded on first use: the strand path
+# (parse, skeleton, normal forms) never needs the action.
+_ACTION_NAMES = ("PartialEndo", "compose", "equal_action", "evaluate", "letter_endo", "tau")
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + ["action", *_ACTION_NAMES]
+)
+
+
+def __getattr__(name: str):
+    if name != "action" and name not in _ACTION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import partialbraid.action as action
+
+    if name == "action":
+        return action
+    value = globals()[name] = getattr(action, name)
+    return value

@@ -14,8 +14,6 @@ longer reaches both planes is discarded from a diagram.
 
 from __future__ import annotations
 
-import functools
-
 from . import diagram, freegroup
 from .freegroup import FreeWord, ResourceLimitError
 from .words import EPSILON, SIGMA, SIGMA_INV, Letter, Word, _Frozen
@@ -186,18 +184,27 @@ def _inv(x: Matrix) -> Matrix:
     return (d, -b % _PRIME, -c % _PRIME, a)
 
 
-@functools.lru_cache(maxsize=None)
+# The fingerprint's matrices, drawn from one seeded generator: the first n
+# serve n strands, so one table grown to the largest n asked for serves
+# every n.
+_matrices: list[Matrix] = []
+_matrix_rng = None
+
+
 def _generator_matrices(n: int) -> tuple[Matrix, ...]:
     """n matrices of SL(2, Z/p) from a fixed seed, one per free generator."""
-    import random  # only the first fingerprint pays for loading it
+    global _matrix_rng
+    if len(_matrices) < n:
+        if _matrix_rng is None:
+            import random  # only the first fingerprint pays for loading it
 
-    rng = random.Random(0x1B)
-    matrices = []
-    for _ in range(n):
-        a = rng.randrange(1, _PRIME)
-        b, c = rng.randrange(_PRIME), rng.randrange(_PRIME)
-        matrices.append((a, b, c, (1 + b * c) * pow(a, -1, _PRIME) % _PRIME))
-    return tuple(matrices)
+            _matrix_rng = random.Random(0x1B)
+        rng = _matrix_rng
+        while len(_matrices) < n:
+            a = rng.randrange(1, _PRIME)
+            b, c = rng.randrange(_PRIME), rng.randrange(_PRIME)
+            _matrices.append((a, b, c, (1 + b * c) * pow(a, -1, _PRIME) % _PRIME))
+    return tuple(_matrices[:n])
 
 
 def _fingerprint(w: Word, matrices: tuple[Matrix, ...]) -> tuple[Matrix | None, ...]:

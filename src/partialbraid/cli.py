@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import action, diagram, freegroup, garside, monoidal, words
+from . import diagram, freegroup, garside, monoidal, words
 from .freegroup import ResourceLimitError
 from .words import Word
 
@@ -176,6 +176,8 @@ def _perm_rows(factors) -> list[list[int]]:
 
 
 def _cmd_eval(args) -> int:
+    from . import action
+
     endo = action.evaluate(
         words.parse_word(args.word, args.n), max_letters=args.max_letters
     )
@@ -197,6 +199,8 @@ def _equal(engine: str, w1: Word, w2: Word, max_letters: int) -> bool:
     """The action on request, equal strand maps for "injection"; otherwise
     the library's own equality."""
     if engine == "action":
+        from . import action
+
         return action.equal_action(w1, w2, max_letters=max_letters)
     if engine == "injection":
         return diagram._occupants(w1) == diagram._occupants(w2)
@@ -292,6 +296,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    from . import action
+
     inj = action.tau(
         words.parse_word(args.word, args.n), max_letters=args.max_letters
     )
@@ -417,8 +423,15 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# Built by the first run and reused: parse_args keeps no state in it.
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except ResourceLimitError as exc:

@@ -17,7 +17,6 @@ The Makanin tests are decided here too, by their definition through it.
 from __future__ import annotations
 
 from .diagram import _occupants, _replay, _strand_map
-from .freegroup import project
 from .words import (
     SIGMA,
     SIGMA_INV,
@@ -298,10 +297,9 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     2. The braid group is a quotient of the free group on the crossings,
        so survivor braids that freely reduce to the same word answer True.
     3. Otherwise the reduced braids lose their longest common prefix, then
-       their longest common suffix within what the prefix left, and the
-       left normal forms of the two remaining cores decide: the survivor
-       braids lie in the group B_k, where p u s = p v s exactly when
-       u = v.
+       their longest common suffix within what the prefix left, and the two
+       remaining cores decide (_equal_cores): the survivor braids lie in
+       the group B_k, where p u s = p v s exactly when u = v.
 
     Raises ValueError on a strand-count mismatch, then on xi letters in
     either word.
@@ -312,10 +310,8 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     if occupant != _occupants(w2):
         return False
     k = w1.n - occupant.count(None)
-    b1, b2 = _replay(w1, occupant), _replay(w2, occupant)
-    # every rank lies in 1..k-1, so projecting onto them only reduces freely
-    ranks = range(1, k)
-    r1, r2 = project(b1, ranks), project(b2, ranks)
+    r1 = _freely_reduce(_replay(w1, occupant))
+    r2 = _freely_reduce(_replay(w2, occupant))
     if r1 == r2:
         return True
     m = min(len(r1), len(r2))
@@ -326,7 +322,51 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     j = 0
     while j < m - i and r1[-1 - j] == r2[-1 - j]:
         j += 1
-    return _rank_nf(k, r1[i : len(r1) - j]) == _rank_nf(k, r2[i : len(r2) - j])
+    return _equal_cores(k, r1[i : len(r1) - j], r2[i : len(r2) - j])
+
+
+def _freely_reduce(ranks: list[int]) -> tuple[int, ...]:
+    """Signed ranks with every adjacent r, -r cancelled."""
+    out: list[int] = []
+    for rank in ranks:
+        if out and out[-1] == -rank:
+            out.pop()
+        else:
+            out.append(rank)
+    return tuple(out)
+
+
+def _equal_cores(k: int, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
+    """Are two signed-rank braids on k strands equal in B_k?
+
+    When every rank of both has one sign and each is a permutation braid,
+    their permutations decide: the positive permutation braids are in
+    bijection with the permutations (Epstein et al., ch. 9; El-Rifai and
+    Morton), and the negative ones are their inverses.  Any other pair is
+    decided by the two left normal forms.  (Under equal_nf the strand maps
+    already agree, so such cores share their permutation and are equal.)
+    """
+    both = c1 + c2
+    if min(both) > 0 or max(both) < 0:
+        p1 = _crossing_once(k, c1)
+        if p1 is not None:
+            p2 = _crossing_once(k, c2)
+            if p2 is not None:
+                return p1 == p2
+    return _rank_nf(k, c1) == _rank_nf(k, c2)
+
+
+def _crossing_once(k: int, core: tuple[int, ...]) -> list[int] | None:
+    """The strand order left by a one-sign core, or None as soon as two
+    strands would cross a second time."""
+    p = list(range(k))
+    for r in core:
+        g = abs(r) - 1
+        a, b = p[g], p[g + 1]
+        if a > b:
+            return None
+        p[g], p[g + 1] = b, a
+    return p
 
 
 def is_i_makanin(w: Word, i: int) -> bool:

@@ -8,7 +8,6 @@ honest braid, which is what the decomposition here computes.
 
 from __future__ import annotations
 
-from .action import equal_action
 from .diagram import PartialInjection, evaluate_skeleton
 from .freegroup import MAX_LETTERS
 from .garside import _deletions_and_spread, canonical_form, equal_nf
@@ -32,12 +31,15 @@ def mu(a: Word, b: Word) -> Word:
 
 def _equal(w1: Word, w2: Word, max_letters: int = MAX_LETTERS) -> bool:
     """Monoid equality through normal forms.  The welded words they refuse
-    go to the action, under max_letters; any other refusal is raised."""
+    go to the action, under max_letters; any other refusal is raised.  Only
+    that branch loads the action."""
     try:
         return equal_nf(w1, w2)
     except ValueError:
         if XI not in w1.kinds() and XI not in w2.kinds():
             raise
+    from .action import equal_action
+
     return equal_action(w1, w2, max_letters=max_letters)
 
 

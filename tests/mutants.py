@@ -68,6 +68,20 @@ MUTANTS = [
         ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
     ),
     (
+        "stage 3 counts a repeated crossing into a permutation braid",
+        "garside.py",
+        "        if a > b:\n            return None\n",
+        "",
+        ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
+    ),
+    (
+        "stage 3 compares permutations of cores with mixed signs",
+        "garside.py",
+        "    if min(both) > 0 or max(both) < 0:\n",
+        "    if True:\n",
+        ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
+    ),
+    (
         "survivor ranks start live at end positions, not start strands",
         "diagram.py",
         "    for strand in occupant:\n        if strand is not None:\n"
@@ -83,10 +97,14 @@ MUTANTS = [
         "            out.append(x)\n    return tuple(out)\n",
         "        if out and abs(out[-1]) == abs(x):\n            out.pop()\n        else:\n"
         "            out.append(x)\n    return tuple(out)\n",
-        [
-            "tests/test_freegroup.py::test_project",
-            "tests/test_garside.py::test_equal_nf_free_reduction_hypothesis",
-        ],
+        ["tests/test_freegroup.py::test_project"],
+    ),
+    (
+        "equal_nf's free reduction cancels r, r",
+        "garside.py",
+        "        if out and out[-1] == -rank:\n",
+        "        if out and abs(out[-1]) == abs(rank):\n",
+        ["tests/test_garside.py::test_equal_nf_free_reduction_hypothesis"],
     ),
     (
         "substitute_erasing without its reversed",
@@ -113,8 +131,15 @@ MUTANTS = [
         "letter maps cached for the life of the process",
         "action.py",
         "def _letter_images(",
-        "@functools.lru_cache(maxsize=None)\ndef _letter_images(",
+        "@__import__('functools').lru_cache(maxsize=None)\ndef _letter_images(",
         ["tests/test_action.py::test_letter_maps_do_not_outlive_evaluate"],
+    ),
+    (
+        "fingerprint matrices cached per strand count",
+        "action.py",
+        "def _generator_matrices(",
+        "@__import__('functools').lru_cache(maxsize=None)\ndef _generator_matrices(",
+        ["tests/test_action.py::test_fingerprint_matrices_are_one_table"],
     ),
     (
         "is_central accepts odd half-twist powers",

@@ -90,6 +90,27 @@ def test_letter_maps_do_not_outlive_evaluate():
     assert letter_endo(epsilon(n), n).images == tuple(identity[:-1]) + (None,)
 
 
+def test_fingerprint_matrices_are_one_table():
+    # equal_action on each n = 900..999 once: a table kept per n would hold
+    # about 25 MB of matrices after the calls, one grown table about 0.25 MB
+    import gc
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(900, 1000):
+            assert not equal_action(Word(n, (sigma(n - 1),)), Word(n, (sigma_inv(n - 1),)))
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 1_000_000, left
+    # every n gets a prefix of the same seeded sequence
+    assert _generator_matrices(999) == _generator_matrices(1000)[:999]
+    assert _generator_matrices(3) == _generator_matrices(7)[:3]
+
+
 def test_sigma_inverse_really_inverts():
     for n in (2, 3, 4):
         for i in range(1, n):

@@ -490,8 +490,6 @@ def test_batch_matches_single_eq_runs_across_spellings(tmp_path, monkeypatch, ca
 
     from partialbraid import cli
 
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # 4,000 runs
     pairs = _spelled_pairs(rng)
     lines = []
     for left, right in pairs:
@@ -534,6 +532,25 @@ def test_batch_matches_single_eq_runs_across_spellings(tmp_path, monkeypatch, ca
                 assert batch_run(argv, bad, source) == (
                     2, head_answers, f"line {head + 1}: {error}"
                 )
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    # every run after the first reuses the parser, usage errors included
+    from partialbraid import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    assert run(["eq", "-n", "3", "s1 s2 s1", "s2 s1 s2"]) == 0
+    with pytest.raises(SystemExit):
+        run(["eq", "-n", "x", "s1", "s1"])
+    assert run(["eq", "-n", "2", "s1", "s1^-1", "--format", "json"]) == 1
+    assert run(["canon", "-n", "2", "s1"]) == 0
+    out = capsys.readouterr()
+    assert out.out == 'true\n{"result": false}\nI={1,2} J={1,2} inf=1 factors=[]\n'
+    assert "argument -n: invalid int value: 'x'" in out.err
+    assert built == [1]
 
 
 def test_python_dash_m_entry_point():

@@ -56,6 +56,8 @@ def test_project():
     assert F.project((-2, 1, 2), {1}) == (1,)
     assert F.project((1, 2, -1), {1, 2}) == (1, 2, -1)
     assert F.project((1, -1), set()) == ()
+    # only inverse neighbours cancel
+    assert F.project((1, 1, 2, -1), {1}) == (1,)
 
 
 def test_conjugate_decompose_examples():

@@ -338,21 +338,48 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _one_sign_permutation_braids(k, c1, c2):
+    """Are the signed-rank cores c1 and c2 all of one sign between them,
+    and each a permutation braid?  Read through is_permutation_braid."""
+    ranks = c1 + c2
+    if not (all(r > 0 for r in ranks) or all(r < 0 for r in ranks)):
+        return False
+    return all(
+        is_permutation_braid(Word(k, tuple(sigma(abs(r)) for r in core)), k)
+        for core in (c1, c2)
+    )
+
+
+def _stage3_exit(core_calls, nf_calls):
+    """Which exit of equal_nf's stage 3 decided, checked against the
+    cores it received: the permutation comparison exactly for one-sign
+    permutation braids, the normal forms of both cores otherwise."""
+    (k, c1, c2), = core_calls
+    if _one_sign_permutation_braids(k, c1, c2):
+        assert nf_calls == [], (k, c1, c2)
+        return "permutation"
+    assert nf_calls == [(k, c1), (k, c2)], (k, c1, c2)
+    return "normal form"
+
+
 def test_equal_nf_strand_map_exit_differential(monkeypatch):
     # seeded: 1,320 pairs, n = 2..12, 0-30% deletions; equal by rewriting,
     # equal strand maps (w against w s_i s_i, pure-braid conjugates), and
     # strand maps differing in domain, codomain or permutation
     rng = random.Random(0xE0A1)
     replay_calls = _count_calls(monkeypatch, "_replay")
+    core_calls = _count_calls(monkeypatch, "_equal_cores")
     nf_calls = _count_calls(monkeypatch, "_rank_nf")
     # pairs per (branch taken, verdict): the strand-map exit only says
-    # False, the reduced-braid exit only True
+    # False, the reduced-braid exit only True; stage 3 decides the cores
+    # by their permutations or by their normal forms
     seen = {
         ("strand map", False): 0,
         ("reduced braid", True): 0,
-        ("normal form", False): 0,
-        ("normal form", True): 0,
+        ("cores", False): 0,
+        ("cores", True): 0,
     }
+    exits = {"permutation": 0, "normal form": 0}
     oracle_checked = cap_hits = 0
     for n in range(2, 13):
         for k in range(120):
@@ -373,14 +400,15 @@ def test_equal_nf_strand_map_exit_differential(monkeypatch):
                 w2 = w1 * Word(n, (sigma(rng.randint(1, n - 1)),))
             else:
                 w2 = _word_with_deletions(rng, n, 3 * n, share)
-            del replay_calls[:], nf_calls[:]
+            del replay_calls[:], core_calls[:], nf_calls[:]
             got = equal_nf(w1, w2)
             if not replay_calls:
                 branch = "strand map"
-            elif not nf_calls:
+            elif not core_calls:
                 branch = "reduced braid"
             else:
-                branch = "normal form"
+                branch = "cores"
+                exits[_stage3_exit(core_calls, nf_calls)] += 1
             assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
             same_map = position_tracking_map(w1) == position_tracking_map(w2)
             assert same_map == (branch != "strand map"), (str(w1), str(w2))
@@ -406,8 +434,8 @@ def test_equal_nf_strand_map_exit_differential(monkeypatch):
     print(
         f"equal_nf: {seen['strand map', False]} pairs unequal on strand maps, "
         f"{seen['reduced braid', True]} equal on freely reduced braids; "
-        f"by normal forms {seen['normal form', True]} equal and "
-        f"{seen['normal form', False]} unequal; action oracle checked "
+        f"by cores {seen['cores', True]} equal and {seen['cores', False]} "
+        f"unequal, decided by {exits}; action oracle checked "
         f"{oracle_checked}, {cap_hits} hit the letter cap"
     )
     assert all(seen.values()), seen
@@ -458,22 +486,22 @@ def _inserted_pairs(draw):
 
 
 def test_equal_nf_free_reduction_hypothesis(monkeypatch):
-    nf_calls = _count_calls(monkeypatch, "_rank_nf")
+    core_calls = _count_calls(monkeypatch, "_equal_cores")
     counts = {"cancelling": 0, "square equal": 0, "square unequal": 0}
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(_inserted_pairs())
     def check(case):
         w1, w2, square = case
-        del nf_calls[:]
+        del core_calls[:]
         got = equal_nf(w1, w2)
-        decided_early = not nf_calls
+        decided_early = not core_calls
         same_form = canonical_form(w1) == canonical_form(w2)
         if square:
             assert got == same_form, (str(w1), str(w2))
             counts["square equal" if got else "square unequal"] += 1
         else:
-            # a cancelling pair never needs a normal form
+            # a cancelling pair never reaches the cores
             assert got and same_form and decided_early, (str(w1), str(w2))
             counts["cancelling"] += 1
 
@@ -522,10 +550,12 @@ def test_equal_nf_cancels_common_prefix_and_suffix(monkeypatch):
     # p v, s against v s, and powers p c^a s against p c^b s, where the
     # common prefix and suffix scans could overlap
     rng = random.Random(0xC0E5)
+    core_calls = _count_calls(monkeypatch, "_equal_cores")
     nf_calls = _count_calls(monkeypatch, "_rank_nf")
     shapes = ["commutation", "braid relation", "square", "random",
               "prefix", "suffix", "power"]
     seen = {(shape, verdict): 0 for shape in shapes for verdict in (False, True)}
+    exits = {"permutation": 0, "normal form": 0}
     empty_cores = oracle_checked = cap_hits = 0
     for n in range(2, 13):
         for k in range(120):
@@ -547,17 +577,18 @@ def test_equal_nf_cancels_common_prefix_and_suffix(monkeypatch):
                 u, v = _sides(rng, n, shape)
                 a, b = p + u + s, p + v + s
             w1, w2 = Word(n, tuple(a)), Word(n, tuple(b))
-            del nf_calls[:]
+            del core_calls[:], nf_calls[:]
             got = equal_nf(w1, w2)
-            cores = [ranks for _, ranks in nf_calls]
+            if core_calls:
+                exits[_stage3_exit(core_calls, nf_calls)] += 1
             assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
             if shape in ("commutation", "braid relation"):
                 assert got, (str(w1), str(w2))
-            if cores:
+            if core_calls:
                 # the cores are one window of both reduced braids, with the
                 # same common prefix and suffix cut from each, and neither
                 # scan stopped early
-                c1, c2 = cores
+                _, c1, c2 = core_calls[0]
                 r1, r2 = _reduced_ranks(w1), _reduced_ranks(w2)
                 cut = len(r1) - len(c1)
                 assert cut == len(r2) - len(c2), (str(w1), str(w2))
@@ -580,39 +611,118 @@ def test_equal_nf_cancels_common_prefix_and_suffix(monkeypatch):
                     oracle_checked += 1
                     assert got == expected, (str(w1), str(w2))
     print(
-        f"equal_nf cores: normal forms per (shape, verdict) {seen}; "
+        f"equal_nf cores: per (shape, verdict) {seen}; decided by {exits}; "
         f"{empty_cores} with an empty core; action oracle checked "
         f"{oracle_checked}, {cap_hits} hit the letter cap"
     )
     for shape in shapes:
         assert seen[shape, False] + seen[shape, True], shape
     assert seen["braid relation", True] and seen["random", False], seen
-    assert empty_cores and oracle_checked
+    assert empty_cores and oracle_checked and all(exits.values()), exits
 
 
 @pytest.mark.parametrize(
-    "n, a, b, core1, core2, verdict",
+    "n, a, b, core1, core2, verdict, exit",
     [
         # deletions in the context; the relation's sides are the cores
         (5, "e5 s3 s2^-1 s3 s1 s2 s1 s3 s1^-1 s2 e5",
-         "e5 s3 s2^-1 s3 s2 s1 s2 s3 s1^-1 s2 e5", (1, 2, 1), (2, 1, 2), True),
+         "e5 s3 s2^-1 s3 s2 s1 s2 s3 s1^-1 s2 e5", (1, 2, 1), (2, 1, 2), True,
+         "permutation"),
         # the suffix scan stops where the prefix scan ended
-        (2, "s1 s1", "s1 s1 s1 s1", (), (1, 1), False),
-        (2, "s1 s1 s1 s1", "s1 s1", (1, 1), (), False),
-        (3, "s1 s2^-1", "s1 s2^-1 s1 s1", (), (1, 1), False),
-        (3, "s2 s1", "s1 s1 s2 s1", (), (1, 1), False),
+        (2, "s1 s1", "s1 s1 s1 s1", (), (1, 1), False, "normal form"),
+        (2, "s1 s1 s1 s1", "s1 s1", (1, 1), (), False, "normal form"),
+        (3, "s1 s2^-1", "s1 s2^-1 s1 s1", (), (1, 1), False, "normal form"),
+        (3, "s2 s1", "s1 s1 s2 s1", (), (1, 1), False, "normal form"),
         # an empty core equal to a braid relation's cycle
         (3, "s2^-1 s1 s2 s1 s2^-1 s1^-1 s2^-1 s1^-1", "s2^-1 s1^-1",
-         (1, 2, 1, -2, -1, -2), (), True),
+         (1, 2, 1, -2, -1, -2), (), True, "normal form"),
+        # the inverse relation's sides
+        (4, "s1^-1 s2^-1 s1^-1 e4", "s2^-1 s1^-1 s2^-1 e4", (-1, -2, -1),
+         (-2, -1, -2), True, "permutation"),
+        # a pure braid against the empty braid: s1 crosses twice
+        (3, "e3 s1 s1", "e3", (1, 1), (), False, "normal form"),
+        # mixed signs between the cores
+        (2, "s1", "s1^-1", (1,), (-1,), False, "normal form"),
     ],
 )
 def test_equal_nf_normal_forms_see_only_the_cores(
-    monkeypatch, n, a, b, core1, core2, verdict
+    monkeypatch, n, a, b, core1, core2, verdict, exit
 ):
+    core_calls = _count_calls(monkeypatch, "_equal_cores")
     nf_calls = _count_calls(monkeypatch, "_rank_nf")
     assert equal_nf(w(a, n), w(b, n)) is verdict
     k = len(evaluate_skeleton(w(a, n)).domain)
-    assert nf_calls == [(k, core1), (k, core2)]
+    assert core_calls == [(k, core1, core2)]
+    assert _stage3_exit(core_calls, nf_calls) == exit
+
+
+def _permutation_braid_sides(rng, k):
+    """Two positive permutation braids of one random permutation, as
+    rank lists: a reduced word, and the same word moved by far
+    commutations and braid relations."""
+    perm = list(range(k))
+    rng.shuffle(perm)
+    word = [letter.index for letter in perm_to_word(tuple(perm)).letters]
+    other = list(word)
+    for _ in range(3 * len(other)):
+        g = rng.randrange(max(len(other) - 1, 1))
+        pair, triple = other[g : g + 2], other[g : g + 3]
+        if len(pair) == 2 and abs(pair[0] - pair[1]) >= 2:
+            other[g : g + 2] = pair[::-1]
+        elif len(triple) == 3 and triple[0] == triple[2] and abs(triple[0] - triple[1]) == 1:
+            other[g : g + 3] = [triple[1], triple[0], triple[1]]
+    return word, other
+
+
+def test_equal_cores_matches_normal_forms(monkeypatch, rng):
+    # seeded: 4,000 core pairs on k = 2..7 against the normal-form
+    # comparison; one-sign relation cores, empty against a permutation
+    # braid, repeated crossings and mixed signs
+    rank_nf = garside._rank_nf
+    nf_calls = _count_calls(monkeypatch, "_rank_nf")
+    counts = {}
+    for case in range(4000):
+        k = rng.randint(2, 7)
+        shape = ("relation", "two permutations", "empty", "repeated", "mixed",
+                 "random")[case % 6]
+        if shape == "relation":
+            c1, c2 = _permutation_braid_sides(rng, k)
+        elif shape == "two permutations":
+            c1 = _permutation_braid_sides(rng, k)[0]
+            c2 = _permutation_braid_sides(rng, k)[1]
+        elif shape == "empty":
+            c1, c2 = [], _permutation_braid_sides(rng, k)[0]
+        elif shape == "repeated":
+            g = rng.randint(1, k - 1)
+            c1, c2 = _permutation_braid_sides(rng, k)
+            at = rng.randint(0, len(c2))
+            c2[at:at] = [g, g]
+        elif shape == "mixed":
+            c1, c2 = _permutation_braid_sides(rng, k)
+            c2 = c2 or [1]
+            at = rng.randrange(len(c2))
+            c2[at] = -c2[at]
+        else:
+            c1, c2 = ([rng.choice([-1, 1]) * rng.randint(1, k - 1)
+                       for _ in range(rng.randint(0, 6))] for _ in "12")
+        if rng.random() < 0.5:
+            c1, c2 = c2, c1
+        if rng.random() < 0.5:
+            c1, c2 = [-r for r in c1], [-r for r in c2]
+        if not c1 and not c2:
+            continue
+        c1, c2 = tuple(c1), tuple(c2)
+        expected = rank_nf(k, c1) == rank_nf(k, c2)
+        del nf_calls[:]
+        assert garside._equal_cores(k, c1, c2) == expected, (k, c1, c2)
+        route = _one_sign_permutation_braids(k, c1, c2)
+        assert nf_calls == ([] if route else [(k, c1), (k, c2)]), (k, c1, c2)
+        counts[shape, route, expected] = counts.get((shape, route, expected), 0) + 1
+    print(f"stage-3 cores per (shape, permutation exit, verdict): {counts}")
+    for key in [("relation", True, True), ("two permutations", True, False),
+                ("empty", True, False), ("repeated", False, False),
+                ("mixed", False, False)]:
+        assert counts.get(key), (key, counts)
 
 
 def test_reconstruct_word_examples():

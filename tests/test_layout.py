@@ -1,11 +1,14 @@
 """Module layering and the package's export list.
 
 The free-group action is the independent oracle and the welded engine; the
-strand modules must not lean on it.  These checks read the sources with
-ast, because importing the package loads every module anyway.
+strand modules must not lean on it.  The import graph is read from the
+sources with ast; what a process really loads is checked in fresh
+interpreters, since this one has loaded the action long before.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import partialbraid
@@ -69,3 +72,51 @@ def test_strand_facts_live_in_diagram():
     for name in ("GROUP_CLASS", "EPSILON_CLASS"):
         assert hasattr(diagram, name) and not hasattr(action, name), name
     assert partialbraid.tau.__module__ == "partialbraid.action"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's src/, reporting its imports
+    on stderr (-X importtime)."""
+    return subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+
+
+def _loads_action(proc: subprocess.CompletedProcess) -> bool:
+    return any(
+        line.rsplit("|", 1)[-1].strip() == "partialbraid.action"
+        for line in proc.stderr.splitlines()
+    )
+
+
+def test_strand_path_leaves_the_action_unloaded():
+    proc = _python(
+        "-c",
+        "import sys, partialbraid as p\n"
+        "w = p.parse_word('s1 s2 s1 e3', 3)\n"
+        "print(p.equal_nf(w, p.parse_word('s2 s1 s2 e3', 3)), p.canonical_form(w))\n"
+        "print('partialbraid.action' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("True ")
+    assert proc.stdout.splitlines()[1] == "False"
+    assert not _loads_action(proc)
+    proc = _python("-m", "partialbraid", "eq", "-n", "3", "s1 s2 s1", "s2 s1 s2")
+    assert (proc.returncode, proc.stdout) == (0, "true\n")
+    assert not _loads_action(proc)
+
+
+def test_welded_words_and_the_action_engine_load_the_action():
+    for argv in (
+        ["eq", "-n", "2", "t1 t1", "t1 t1"],
+        ["eq", "--engine", "action", "-n", "3", "s1 s2 s1", "s2 s1 s2"],
+    ):
+        proc = _python("-m", "partialbraid", *argv)
+        assert (proc.returncode, proc.stdout) == (0, "true\n"), argv
+        assert _loads_action(proc), argv
+    # and the names the package exports from it resolve on first use
+    proc = _python("-c", "from partialbraid import tau; print(tau.__module__)")
+    assert proc.stdout == "partialbraid.action\n", proc.stderr

@@ -231,7 +231,7 @@ def test_is_central_refuses_odd_twist_powers(rng):
 
 
 def test_equal_dispatch_error_path(monkeypatch):
-    from partialbraid import garside, monoidal
+    from partialbraid import action, garside, monoidal
     from partialbraid.freegroup import ResourceLimitError
 
     # a strand-count mismatch keeps its text whether or not a word is welded
@@ -259,11 +259,12 @@ def test_equal_dispatch_error_path(monkeypatch):
         return True
 
     monkeypatch.setattr(garside, "_rank_nf", refuse)
-    monkeypatch.setattr(monoidal, "equal_action", action_spy)
+    monkeypatch.setattr(action, "equal_action", action_spy)
+    # mixed-sign cores, so the normal forms are asked
     with pytest.raises(ValueError, match="^factor sequence is not left-greedy$"):
-        monoidal._equal(w("s1 s2 s1", 3), w("s2 s1 s2", 3))
+        monoidal._equal(w("s1 s2 s1^-1", 3), w("s2^-1 s1 s2", 3))
     assert asked == []
-    # welded pairs still reach the action
+    # welded pairs still reach the action, which monoidal loads on demand
     assert monoidal._equal(w("t1", 2), w("t1 t1 t1", 2))
     assert asked == [("t1", "t1 t1 t1")]
 
