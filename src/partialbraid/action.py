@@ -219,14 +219,7 @@ def _fingerprint(w: Word, matrices: tuple[Matrix, ...]) -> tuple[Matrix | None, 
     the positions left empty by the whole word to the identity, and every
     letter map keeps an empty position's matrix the identity.
     """
-    n = w.n
-    occupant: list[int | None] = list(range(1, n + 1))
-    for letter in w.letters:
-        p = letter.index - 1
-        if letter.kind == EPSILON:
-            occupant[p] = None
-        else:
-            occupant[p], occupant[p + 1] = occupant[p + 1], occupant[p]
+    occupant = diagram._occupants(w, welded=True)
     rho = [_ONE if s is None else m for s, m in zip(occupant, matrices)]
     for letter in reversed(w.letters):
         kind = letter.kind

@@ -106,16 +106,18 @@ def compose_injection(p: PartialInjection, q: PartialInjection) -> PartialInject
     return PartialInjection(p.n, mapping)
 
 
-def _occupants(w: Word) -> list[int | None]:
+def _occupants(w: Word, welded: bool = False) -> list[int | None]:
     """First pass: the start strand ending at each position, None where
-    the position ends empty.  Equal lists mean equal partial injections."""
+    the position ends empty.  Equal lists mean equal partial injections.
+    A welded swap moves positions like a crossing only when welded is set,
+    for the fingerprint; skeletons are not defined for it."""
     occupant: list[int | None] = list(range(1, w.n + 1))
     for letter in w.letters:
         kind = letter.kind
         p = letter.index - 1
         if kind == EPSILON:
             occupant[p] = None
-        elif kind == XI:
+        elif kind == XI and not welded:
             raise ValueError("skeletons are not defined for xi letters")
         else:
             occupant[p], occupant[p + 1] = occupant[p + 1], occupant[p]
@@ -124,17 +126,12 @@ def _occupants(w: Word) -> list[int | None]:
 
 def _strand_map(occupant: list[int | None]) -> tuple:
     """(mapping, domain, codomain) of the partial injection whose occupant
-    list is occupant: the strand map that skeletons and canonical forms
-    report, read off the first pass without touching the word."""
-    mapping: list[int | None] = [None] * len(occupant)
-    for p, strand in enumerate(occupant):
-        if strand is not None:
-            mapping[strand - 1] = p + 1
-    codomain = tuple(
-        p + 1 for p, strand in enumerate(occupant) if strand is not None
-    )
-    domain = tuple(s for s, end in enumerate(mapping, 1) if end is not None)
-    return tuple(mapping), domain, codomain
+    list is occupant, read off the first pass without touching the word:
+    the occupant list maps end positions to start strands, and the strand
+    map that skeletons and canonical forms report is its inverse."""
+    ends = PartialInjection(len(occupant), tuple(occupant))
+    starts = ends.inverse()
+    return starts.mapping, starts.domain(), ends.domain()
 
 
 def _replay(w: Word, occupant: list[int | None]) -> list[int]:

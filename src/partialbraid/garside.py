@@ -113,12 +113,6 @@ def is_permutation_braid(w: Word, k: int | None = None) -> bool:
     return len(w.letters) == perm_length(word_to_perm(w, k))
 
 
-def _delta_conjugate(p: Perm) -> Perm:
-    """Conjugation by the half-twist: the index-reversal automorphism."""
-    k = len(p)
-    return tuple(k - 1 - p[k - 1 - s] for s in range(k))
-
-
 def _left_weight_pair(a: Perm, b: Perm, k: int) -> tuple[Perm, Perm, bool]:
     """Slide crossings from the front of b to the back of a until greedy."""
     ainv = list(invert_perm(a))
@@ -215,27 +209,27 @@ def _rank_nf(k: int, ranks: list[int] | tuple[int, ...]) -> GarsideNF:
 
     Each inverse crossing is rewritten as half-twist^-1 times the
     complementary permutation braid; the negative twists migrate to the
-    front through the index-reversal automorphism, and the remaining
-    positive factors are left-weighted.
+    front, conjugating each crossing they pass (sigma_r -> sigma_{k-r}),
+    so a rank with an odd number of inverse crossings to its right is
+    remapped before its factor is built.  The positive factors are then
+    left-weighted.
     """
     half_twist = longest_perm(k)
-    raw: list[tuple[Perm, int]] = []
-    for r in ranks:
+    total = 0
+    factors: list[Perm] = []
+    for r in reversed(ranks):
+        if total % 2:
+            r = k - r if r > 0 else -k - r
         if r > 0:
             p = list(range(k))
             p[r - 1], p[r] = p[r], p[r - 1]
-            raw.append((tuple(p), 0))
         else:
             # half-twist followed by the inverse crossing: swap the values
             # g, g+1 (g = -r-1) in the reversal's one-line form
             p = list(half_twist)
             p[k + r], p[k - 1 + r] = p[k - 1 + r], p[k + r]
-            raw.append((tuple(p), -1))
-    total = 0
-    factors: list[Perm] = []
-    for p, d in reversed(raw):
-        factors.append(_delta_conjugate(p) if total % 2 else p)
-        total += d
+            total -= 1
+        factors.append(tuple(p))
     factors.reverse()
     extra, normal = _normalize(factors, k)
     return GarsideNF(k, total + extra, normal)

@@ -28,9 +28,16 @@ MUTANTS = [
     (
         "normal-form core reads inverse ranks as positive",
         "garside.py",
-        "    for r in ranks:\n",
-        "    for r in map(abs, ranks):\n",
+        "    for r in reversed(ranks):\n",
+        "    for r in map(abs, reversed(ranks)):\n",
         ["tests/test_garside.py::test_left_greedy_examples"],
+    ),
+    (
+        "half-twist remap dropped",
+        "garside.py",
+        "        if total % 2:\n            r = k - r if r > 0 else -k - r\n",
+        "",
+        ["tests/test_garside.py::test_nf_multiplies_back"],
     ),
     (
         "_left_weight_pair with its comparison flipped",
@@ -126,6 +133,20 @@ MUTANTS = [
         "            rho[i], rho[i + 1] = _mul(_mul(a, b), _inv(a)), a\n",
         "            rho[i], rho[i + 1] = b, _mul(_mul(_inv(b), a), b)\n",
         ["tests/test_action.py::test_fingerprint_is_rho_of_the_images"],
+    ),
+    (
+        "fingerprint's tracker refuses welded swaps",
+        "diagram.py",
+        "        elif kind == XI and not welded:\n",
+        "        elif kind == XI:\n",
+        ["tests/test_action.py::test_fingerprint_is_rho_of_the_images"],
+    ),
+    (
+        "strand path follows welded swaps",
+        "diagram.py",
+        "        elif kind == XI and not welded:\n",
+        "        elif False:\n",
+        ["tests/test_garside.py::test_equal_nf_error_order"],
     ),
     (
         "letter maps cached for the life of the process",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from conftest import (
 from partialbraid.action import equal_action, tau
 from partialbraid.diagram import (
     Skeleton,
+    _occupants,
+    _strand_map,
     delete_strand,
     evaluate_skeleton,
 )
@@ -69,6 +72,57 @@ def test_skeleton_crossing_over_empty_position():
 def test_skeleton_rejects_xi():
     with pytest.raises(ValueError):
         evaluate_skeleton(w("t1", 2))
+
+
+def test_welded_tracker_matches_position_tracking():
+    # seeded: 2,400 words with e and t letters, n = 1..8
+    rng = random.Random(0x7AC4)
+    for n in range(1, 9):
+        for _ in range(300):
+            word = random_word(rng, n, 3 * n, with_xi=True)
+            occupant = _occupants(word, welded=True)
+            ends = {s: p for p, s in enumerate(occupant, 1) if s is not None}
+            assert ends == position_tracking_map(word), str(word)
+
+
+def test_strand_path_refuses_welded_swaps():
+    for text in ("t1", "s1 t2", "e1 t1", "e3 s1 t2 e1"):
+        with pytest.raises(ValueError) as caught:
+            _occupants(w(text, 3))
+        assert str(caught.value) == "skeletons are not defined for xi letters"
+
+
+def _inverted_occupants(occupant):
+    """(mapping, domain, codomain) read off an occupant list by inverting
+    it position by position."""
+    mapping = [None] * len(occupant)
+    for p, strand in enumerate(occupant):
+        if strand is not None:
+            mapping[strand - 1] = p + 1
+    codomain = tuple(p + 1 for p, strand in enumerate(occupant) if strand is not None)
+    domain = tuple(s for s, end in enumerate(mapping, 1) if end is not None)
+    return tuple(mapping), domain, codomain
+
+
+def _occupant_lists(n):
+    """The occupant list of every partial injection of {1..n}."""
+    for k in range(n + 1):
+        for ends in itertools.combinations(range(n), k):
+            for strands in itertools.permutations(range(1, n + 1), k):
+                occupant = [None] * n
+                for p, strand in zip(ends, strands):
+                    occupant[p] = strand
+                yield occupant
+
+
+def test_strand_map_inverts_every_occupant_list():
+    counts = []
+    for n in range(6):
+        lists = list(_occupant_lists(n))
+        for occupant in lists:
+            assert _strand_map(occupant) == _inverted_occupants(occupant), occupant
+        counts.append(len(lists))
+    assert counts == [1, 2, 7, 34, 209, 1546]
 
 
 def _delete_letters(letters: list[int], start_pos: int) -> list[int]:

@@ -232,6 +232,51 @@ def test_index_reversal_regression():
             assert equal_action(lhs, rhs), (k, i)
 
 
+def _conjugated_factors(k, ranks):
+    """The normal-form core's input built at the permutation level: every
+    factor first, then the index-reversal automorphism applied to each
+    factor with an odd number of inverse crossings to its right.  Returns
+    the half-twist power and the factors, before left-weighting."""
+    half_twist = longest_perm(k)
+    raw = []
+    for r in ranks:
+        if r > 0:
+            p = list(range(k))
+            p[r - 1], p[r] = p[r], p[r - 1]
+            raw.append((tuple(p), 0))
+        else:
+            p = list(half_twist)
+            p[k + r], p[k - 1 + r] = p[k - 1 + r], p[k + r]
+            raw.append((tuple(p), -1))
+    total = 0
+    factors = []
+    for p, d in reversed(raw):
+        if total % 2:
+            p = tuple(k - 1 - p[k - 1 - s] for s in range(k))
+        factors.append(p)
+        total += d
+    factors.reverse()
+    return total, factors
+
+
+def test_rank_nf_matches_permutation_level_conjugation(monkeypatch):
+    # seeded: 20,000 signed rank lists, k = 1..12, up to 12 crossings.  The
+    # factors _rank_nf hands to _normalize, and its half-twist power, must
+    # be those of the permutation-level route; _normalize is stubbed out,
+    # as left-weighting equal inputs gives equal forms
+    handed = []
+    monkeypatch.setattr(
+        garside, "_normalize", lambda factors, k: handed.append(factors) or (0, ())
+    )
+    rng = random.Random(0xD317A)
+    for _ in range(20_000):
+        k = rng.randint(1, 12)
+        length = rng.randint(0, 12) if k > 1 else 0
+        ranks = [rng.choice((1, -1)) * rng.randint(1, k - 1) for _ in range(length)]
+        nf = garside._rank_nf(k, ranks)
+        assert (nf.inf, handed.pop()) == _conjugated_factors(k, ranks), (k, ranks)
+
+
 def test_garside_nf_validation():
     with pytest.raises(ValueError):
         GarsideNF(3, 0, (identity_perm(3),))
