@@ -244,10 +244,10 @@ def _cmd_eq_batch(args) -> int:
     try:
         for lineno, line in enumerate(stream, 1):
             line = line.rstrip("\n")
-            if not line:
-                continue
             parts = line.split("\t")
             if len(parts) != 2:
+                if len(parts) == 1 and not line.strip():
+                    continue  # blank: empty, or whitespace such as a CRLF \r
                 print(
                     f"line {lineno}: expected word<TAB>word", file=sys.stderr
                 )

@@ -8,7 +8,7 @@ words exponentially); crossing the cap raises ResourceLimitError.
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
+from collections.abc import Container, Iterable, Sequence
 
 FreeWord = tuple[int, ...]
 
@@ -78,17 +78,21 @@ def substitute_erasing(
     return tuple(out)
 
 
-def project(a: FreeWord, keep: Container[int]) -> FreeWord:
-    """Erase every letter whose generator index is not in keep, then reduce."""
+def reduce(letters: Iterable[int]) -> FreeWord:
+    """The letters with every adjacent x, x^-1 pair cancelled, until none
+    is left: the reduced word of their product."""
     out: list[int] = []
-    for x in a:
-        if abs(x) not in keep:
-            continue
+    for x in letters:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
     return tuple(out)
+
+
+def project(a: FreeWord, keep: Container[int]) -> FreeWord:
+    """Erase every letter whose generator index is not in keep, then reduce."""
+    return reduce(x for x in a if abs(x) in keep)
 
 
 def conjugate_decompose(a: FreeWord) -> tuple[int, FreeWord] | None:

@@ -17,6 +17,7 @@ The Makanin tests are decided here too, by their definition through it.
 from __future__ import annotations
 
 from .diagram import _occupants, _replay, _strand_map
+from .freegroup import reduce
 from .words import (
     SIGMA,
     SIGMA_INV,
@@ -48,18 +49,8 @@ def invert_perm(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def perm_length(p: Perm) -> int:
-    """Number of inversions; the crossing count of the permutation braid."""
-    return sum(
-        1
-        for i in range(len(p))
-        for j in range(i + 1, len(p))
-        if p[i] > p[j]
-    )
-
-
-def word_to_perm(w: Word, k: int | None = None) -> Perm:
-    """Underlying permutation of a positive crossing-only word."""
+def _positive_word(w: Word, k: int | None) -> Word:
+    """w on k strands (w.n when None), refusing any letter but a crossing."""
     if k is None:
         k = w.n
     for letter in w.letters:
@@ -67,26 +58,33 @@ def word_to_perm(w: Word, k: int | None = None) -> Perm:
             raise ValueError("word_to_perm expects positive crossings only")
         if letter.index >= k:
             raise ValueError(f"crossing {letter.token()} out of range for k={k}")
+    return Word(k, w.letters)
+
+
+def word_to_perm(w: Word, k: int | None = None) -> Perm:
+    """Underlying permutation of a positive crossing-only word."""
     # the start strand ending at each position is the inverse permutation
-    return invert_perm(tuple(s - 1 for s in _occupants(Word(k, w.letters))))
+    return invert_perm(tuple(s - 1 for s in _occupants(_positive_word(w, k))))
 
 
 def perm_to_word(p: Perm, n: int | None = None) -> Word:
-    """A reduced positive word inducing p; its length is the inversion count."""
+    """A reduced positive word inducing p; its length is the inversion count.
+
+    The start strands in end order are insertion-sorted, each sunk into
+    place by adjacent swaps; the swaps, last first, are the crossings.
+    """
     k = len(p)
     if n is None:
         n = k
     apos = list(invert_perm(p))
-    reversed_letters: list[int] = []
-    while True:
-        g = next(
-            (g for g in range(k - 1) if apos[g + 1] < apos[g]), None
-        )
-        if g is None:
-            break
-        apos[g], apos[g + 1] = apos[g + 1], apos[g]
-        reversed_letters.append(g)
-    return Word(n, tuple(sigma(g + 1) for g in reversed(reversed_letters)))
+    swaps: list[int] = []
+    for j in range(1, k):
+        g = j - 1
+        while g >= 0 and apos[g] > apos[g + 1]:
+            apos[g], apos[g + 1] = apos[g + 1], apos[g]
+            swaps.append(g)
+            g -= 1
+    return Word(n, tuple(sigma(g + 1) for g in reversed(swaps)))
 
 
 def _deletions_and_spread(targets: dict[int, int], n: int) -> tuple:
@@ -103,14 +101,10 @@ def _deletions_and_spread(targets: dict[int, int], n: int) -> tuple:
 
 
 def is_permutation_braid(w: Word, k: int | None = None) -> bool:
-    """Does every pair of strands cross at most once in w?
-
-    Equivalent to the word having exactly as many letters as its
-    permutation has inversions.
-    """
-    if k is None:
-        k = w.n
-    return len(w.letters) == perm_length(word_to_perm(w, k))
+    """Does every pair of strands cross at most once in w?  Refuses what
+    word_to_perm refuses, in its words."""
+    b = _positive_word(w, k)
+    return _crossing_once(b.n, tuple(letter.index for letter in b.letters)) is not None
 
 
 def _left_weight_pair(a: Perm, b: Perm, k: int) -> tuple[Perm, Perm, bool]:
@@ -173,6 +167,8 @@ class GarsideNF(_Frozen):
         ident = identity_perm(k)
         half_twist = longest_perm(k)
         for a in factors:
+            if tuple(sorted(a)) != ident:
+                raise ValueError(f"factor {a} is not a permutation of 0..{k - 1}")
             if a == ident or a == half_twist:
                 raise ValueError("factors exclude the identity and the half-twist")
         for a, b in zip(factors, factors[1:]):
@@ -304,8 +300,8 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     if occupant != _occupants(w2):
         return False
     k = w1.n - occupant.count(None)
-    r1 = _freely_reduce(_replay(w1, occupant))
-    r2 = _freely_reduce(_replay(w2, occupant))
+    r1 = reduce(_replay(w1, occupant))
+    r2 = reduce(_replay(w2, occupant))
     if r1 == r2:
         return True
     m = min(len(r1), len(r2))
@@ -317,17 +313,6 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     while j < m - i and r1[-1 - j] == r2[-1 - j]:
         j += 1
     return _equal_cores(k, r1[i : len(r1) - j], r2[i : len(r2) - j])
-
-
-def _freely_reduce(ranks: list[int]) -> tuple[int, ...]:
-    """Signed ranks with every adjacent r, -r cancelled."""
-    out: list[int] = []
-    for rank in ranks:
-        if out and out[-1] == -rank:
-            out.pop()
-        else:
-            out.append(rank)
-    return tuple(out)
 
 
 def _equal_cores(k: int, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:

@@ -98,7 +98,7 @@ MUTANTS = [
         ["tests/test_diagram.py::test_skeleton_edge_cases"],
     ),
     (
-        "freegroup.project cancels r, r",
+        "freegroup.reduce cancels r, r, read through project",
         "freegroup.py",
         "        if out and out[-1] == -x:\n            out.pop()\n        else:\n"
         "            out.append(x)\n    return tuple(out)\n",
@@ -107,10 +107,10 @@ MUTANTS = [
         ["tests/test_freegroup.py::test_project"],
     ),
     (
-        "equal_nf's free reduction cancels r, r",
-        "garside.py",
-        "        if out and out[-1] == -rank:\n",
-        "        if out and abs(out[-1]) == abs(rank):\n",
+        "freegroup.reduce cancels r, r and keeps r, r^-1, read through equal_nf",
+        "freegroup.py",
+        "        if out and out[-1] == -x:\n",
+        "        if out and out[-1] == x:\n",
         ["tests/test_garside.py::test_equal_nf_free_reduction_hypothesis"],
     ),
     (
@@ -179,8 +179,15 @@ MUTANTS = [
     (
         "word_to_perm drops invert_perm",
         "garside.py",
-        "    return invert_perm(tuple(s - 1 for s in _occupants(Word(k, w.letters))))\n",
-        "    return tuple(s - 1 for s in _occupants(Word(k, w.letters)))\n",
+        "    return invert_perm(tuple(s - 1 for s in _occupants(_positive_word(w, k))))\n",
+        "    return tuple(s - 1 for s in _occupants(_positive_word(w, k)))\n",
+        ["tests/test_garside.py::test_perm_to_word_round_trip"],
+    ),
+    (
+        "perm_to_word sinks a strand bound for the bottom one swap short",
+        "garside.py",
+        "        while g >= 0 and apos[g] > apos[g + 1]:\n",
+        "        while g > 0 and apos[g] > apos[g + 1]:\n",
         ["tests/test_garside.py::test_perm_to_word_round_trip"],
     ),
     (

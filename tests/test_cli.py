@@ -389,6 +389,38 @@ def test_batch_mode(tmp_path, capsys):
     assert out_lines(capsys) == ["true", "false", "true"]
 
 
+def test_batch_skips_whitespace_and_crlf_blank_lines(tmp_path, monkeypatch, capsys):
+    import io
+    import sys
+
+    text = "s1\ts1\r\n\r\n \ne1\te2\r\n"
+    batch = tmp_path / "pairs.tsv"
+    batch.write_bytes(text.encode())
+    assert run(["eq", "-n", "2", "--batch", str(batch)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("true\nfalse\n", "")
+    # stdin keeps the \r of each CRLF line
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text, newline=""))
+    assert run(["eq", "-n", "2", "--batch", "-"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("true\nfalse\n", "")
+    # a lone tab is still a pair of empty words, and a tabless line with a
+    # word on it is still refused
+    for where in ("file", "-"):
+        text = "\t\n \t \n s1 \n"
+        if where == "file":
+            batch.write_text(text)
+            argv = ["eq", "-n", "2", "--batch", str(batch)]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            argv = ["eq", "-n", "2", "--batch", "-"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "true\ntrue\n", "line 3: expected word<TAB>word\n"
+        )
+
+
 def test_batch_mode_bad_line(tmp_path, capsys):
     batch = tmp_path / "pairs.tsv"
     batch.write_text("e1 only one word\n")

@@ -60,6 +60,18 @@ def test_project():
     assert F.project((1, 1, 2, -1), {1}) == (1,)
 
 
+def test_reduce_examples():
+    assert F.reduce((1, 2, -2, -1, 3)) == (3,)
+    assert F.reduce([2, 2, -2]) == (2,)
+    assert F.reduce(x for x in (-1, 1)) == ()
+
+
+@given(st.lists(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), max_size=30))
+def test_reduce_matches_the_reference(letters):
+    assert F.reduce(letters) == _reduce(letters)
+    assert F.reduce(iter(letters)) == _reduce(letters)
+
+
 def test_conjugate_decompose_examples():
     assert F.conjugate_decompose((-2, 1, 2)) == (1, (2,))
     assert F.conjugate_decompose((3,)) == (3, ())

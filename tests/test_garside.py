@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from conftest import (
 )
 from partialbraid import ResourceLimitError, garside
 from partialbraid.action import equal_action
-from partialbraid.diagram import evaluate_skeleton
+from partialbraid.diagram import PartialInjection, _occupants, evaluate_skeleton
 from partialbraid.garside import (
     CanonicalForm,
     GarsideNF,
@@ -24,11 +25,11 @@ from partialbraid.garside import (
     left_greedy_nf,
     left_weighted,
     longest_perm,
-    perm_length,
     perm_to_word,
     reconstruct_word,
     word_to_perm,
 )
+from partialbraid.monoidal import positive_lift
 from partialbraid.words import (
     EPSILON,
     SIGMA,
@@ -45,6 +46,16 @@ from partialbraid.words import (
 
 def w(text, n):
     return parse_word(text, n)
+
+
+def perm_length(p):
+    """Number of inversions; the crossing count of the permutation braid."""
+    return sum(
+        1
+        for i in range(len(p))
+        for j in range(i + 1, len(p))
+        if p[i] > p[j]
+    )
 
 
 def test_perm_helpers():
@@ -102,11 +113,98 @@ def test_perm_to_word_round_trip(rng):
         assert len(lift) == perm_length(p)
 
 
+def _leftmost_descent_word(p, n=None):
+    """perm_to_word as first written: swap the leftmost descent of the
+    inverse permutation, searching again from strand 0 after every swap."""
+    k = len(p)
+    if n is None:
+        n = k
+    apos = list(invert_perm(p))
+    reversed_letters = []
+    while True:
+        g = next((g for g in range(k - 1) if apos[g + 1] < apos[g]), None)
+        if g is None:
+            break
+        apos[g], apos[g + 1] = apos[g + 1], apos[g]
+        reversed_letters.append(g)
+    return Word(n, tuple(sigma(g + 1) for g in reversed(reversed_letters)))
+
+
+def test_perm_to_word_matches_the_leftmost_descent_search():
+    for k in range(8):
+        for p in itertools.permutations(range(k)):
+            assert perm_to_word(p) == _leftmost_descent_word(p), p
+    rng = random.Random(0x5047)
+    for _ in range(300):
+        k = rng.randint(8, 60)
+        images = list(range(k))
+        rng.shuffle(images)
+        p, n = tuple(images), k + rng.randint(1, 5)
+        assert perm_to_word(p, n) == _leftmost_descent_word(p, n), p
+
+
 def test_is_permutation_braid():
     assert is_permutation_braid(w("s1 s2", 3))
     assert not is_permutation_braid(w("s1 s1", 2))
     assert is_permutation_braid(delta_word(4))
     assert is_permutation_braid(Word(5))
+
+
+def _inversion_count_verdict(word, k=None):
+    """is_permutation_braid as first written: as many letters as the
+    permutation has inversions; an error is returned as its text."""
+    try:
+        return len(word.letters) == perm_length(word_to_perm(word, k))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_is_permutation_braid_matches_the_inversion_count(rng):
+    verdicts = {True: 0, False: 0}
+    for _ in range(20_000):
+        k = rng.randint(1, 9)
+        word = random_word(rng, k, 12, positive_only=True, no_epsilon=True)
+        got = is_permutation_braid(word)
+        assert got == _inversion_count_verdict(word), str(word)
+        verdicts[got] += 1
+    assert all(v > 2_000 for v in verdicts.values()), verdicts
+    # other letters and other strand counts raise word_to_perm's errors
+    for _ in range(2_000):
+        n = rng.randint(1, 6)
+        word = random_word(rng, n, 6, with_xi=True)
+        k = rng.choice((None, n - 1, n, n + 1, -1))
+        try:
+            got = is_permutation_braid(word, k)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == _inversion_count_verdict(word, k), (str(word), k)
+    for text, n, k, message in [
+        ("s2^-1", 3, 2, "word_to_perm expects positive crossings only"),
+        ("s1 t1", 2, None, "word_to_perm expects positive crossings only"),
+        ("e1", 2, None, "word_to_perm expects positive crossings only"),
+        ("s1 s2", 3, 2, "crossing s2 out of range for k=2"),
+        ("", 2, -1, "strand count must be >= 0, got -1"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            is_permutation_braid(w(text, n), k)
+        assert str(caught.value) == message, text
+
+
+def test_permutation_braids_on_a_thousand_strands():
+    """The block shift 1..500 -> 501..1000 lifts to 250,000 crossings, and
+    deleting strands 1..500 rebuilds through the same spreading braid."""
+    n = 1000
+    shift = PartialInjection(n, tuple(range(501, 1001)) + (None,) * 500)
+    start = time.perf_counter()
+    lift = positive_lift(shift)
+    assert time.perf_counter() - start < 2
+    assert len(lift) == 500 + 500 * 500
+    assert _occupants(lift) == [None] * 500 + list(range(1, 501))
+    form = canonical_form(parse_word(" ".join(f"e{i}" for i in range(1, 501)), n))
+    start = time.perf_counter()
+    rebuilt = reconstruct_word(form)
+    assert time.perf_counter() - start < 2
+    assert canonical_form(rebuilt) == form
 
 
 def test_left_greedy_examples():
@@ -277,6 +375,18 @@ def test_rank_nf_matches_permutation_level_conjugation(monkeypatch):
         assert (nf.inf, handed.pop()) == _conjugated_factors(k, ranks), (k, ranks)
 
 
+def test_garside_nf_refuses_factors_that_are_not_permutations():
+    for factor in ((1, 0), (0, 0, 1), (0, 1, 3), (1, 2, 0, 3), ()):
+        with pytest.raises(ValueError) as caught:
+            GarsideNF(3, 0, (factor,))
+        assert str(caught.value) == f"factor {factor} is not a permutation of 0..2"
+    # the check comes before the identity, half-twist and greedy checks
+    with pytest.raises(ValueError) as caught:
+        GarsideNF(3, 0, ((1, 2, 0), (2, 2, 2)))
+    assert str(caught.value) == "factor (2, 2, 2) is not a permutation of 0..2"
+    assert str(GarsideNF(3, 0, ((1, 2, 0),))) == "inf=0 factors=[2 3 1]"
+
+
 def test_garside_nf_validation():
     with pytest.raises(ValueError):
         GarsideNF(3, 0, (identity_perm(3),))
@@ -385,12 +495,14 @@ def _count_calls(monkeypatch, name):
 
 def _one_sign_permutation_braids(k, c1, c2):
     """Are the signed-rank cores c1 and c2 all of one sign between them,
-    and each a permutation braid?  Read through is_permutation_braid."""
+    and each a permutation braid?  Read as a length equal to the inversion
+    count of its permutation."""
     ranks = c1 + c2
     if not (all(r > 0 for r in ranks) or all(r < 0 for r in ranks)):
         return False
     return all(
-        is_permutation_braid(Word(k, tuple(sigma(abs(r)) for r in core)), k)
+        len(core)
+        == perm_length(word_to_perm(Word(k, tuple(sigma(abs(r)) for r in core))))
         for core in (c1, c2)
     )
 
