@@ -45,13 +45,7 @@ class PartialEndo(_Frozen):
 
     @staticmethod
     def identity(n: int) -> PartialEndo:
-        return PartialEndo(n, _identity_images(n))
-
-    def index_map(self) -> tuple[int | None, ...]:
-        """The partial injection i -> a(i), read from the image cores."""
-        return tuple(
-            img[len(img) // 2] if img is not None else None for img in self.images
-        )
+        return evaluate(Word(n))
 
     def validate(self) -> PartialEndo:
         """Check the canonical-form invariants, raising ValueError if broken."""
@@ -88,10 +82,6 @@ class PartialEndo(_Frozen):
         return "\n".join(lines)
 
 
-def _identity_images(n: int) -> Images:
-    return tuple((i,) for i in range(1, n + 1))
-
-
 def _letter_images(kind: str, i: int, identity: Images) -> Images:
     """identity with the letter's one or two images replaced."""
     base: list[FreeWord | None] = list(identity)
@@ -111,9 +101,7 @@ def _letter_images(kind: str, i: int, identity: Images) -> Images:
 
 def letter_endo(letter: Letter, n: int) -> PartialEndo:
     """The action of a single generator letter on n free generators."""
-    if not letter.fits(n):
-        raise ValueError(f"letter {letter.token()} out of range for n={n}")
-    return PartialEndo(n, _letter_images(letter.kind, letter.index, _identity_images(n)))
+    return evaluate(Word(n, (letter,)))
 
 
 def _compose_images(first: Images, second: Images, max_letters: int) -> Images:
@@ -154,7 +142,7 @@ def evaluate(w: Word, max_letters: int = freegroup.MAX_LETTERS) -> PartialEndo:
 
     A cap hit raises ResourceLimitError naming the letter and the strand.
     """
-    images = identity = _identity_images(w.n)
+    images = identity = tuple((i,) for i in range(1, w.n + 1))
     try:
         for position, letter in enumerate(w.letters, 1):
             images = _compose_images(
@@ -267,5 +255,10 @@ def equal_action(
 def tau(
     w: Word, max_letters: int = freegroup.MAX_LETTERS
 ) -> diagram.PartialInjection:
-    """Project a word to the partial injection it induces on strand endpoints."""
-    return diagram.PartialInjection(w.n, evaluate(w, max_letters).index_map())
+    """Project a word to the partial injection it induces on strand endpoints:
+    each surviving strand's image core, the middle letter of its image."""
+    cores = tuple(
+        None if img is None else img[len(img) // 2]
+        for img in evaluate(w, max_letters).images
+    )
+    return diagram.PartialInjection(w.n, cores)

@@ -218,17 +218,7 @@ def _cmd_eq(args) -> int:
         return USAGE_ERROR
     w1 = words.parse_word(args.words[0], args.n)
     w2 = words.parse_word(args.words[1], args.n)
-    try:
-        value = _equal(args.engine, w1, w2, args.max_letters)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {_in_word(exc)}", file=sys.stderr)
-        return RESOURCE_ERROR
-    return _bool_result(args, value)
-
-
-def _in_word(exc: ResourceLimitError) -> str:
-    """eq's cap message: which of the two words, then where in it."""
-    return f"word {exc.word}, {exc}"
+    return _bool_result(args, _equal(args.engine, w1, w2, args.max_letters))
 
 
 def _cmd_eq_batch(args) -> int:
@@ -257,9 +247,7 @@ def _cmd_eq_batch(args) -> int:
                 w2 = words.parse_word(parts[1], args.n, seen)
                 value = _equal(args.engine, w1, w2, args.max_letters)
             except ResourceLimitError as exc:
-                print(
-                    f"line {lineno}: resource limit: {_in_word(exc)}", file=sys.stderr
-                )
+                print(f"line {lineno}: resource limit: {exc}", file=sys.stderr)
                 return RESOURCE_ERROR
             except ValueError as exc:
                 print(f"line {lineno}: error: {exc}", file=sys.stderr)

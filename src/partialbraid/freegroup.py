@@ -22,7 +22,8 @@ class ResourceLimitError(RuntimeError):
     passed.  When the word is a strand's image under a braid word, the
     action fills in where: strand (the start strand whose image grew), then
     position (1-based) and token of the letter being applied, and
-    equal_action adds word, which of its two words (1 or 2) it was.
+    equal_action adds word, which of its two words (1 or 2) it was.  The
+    message names each of them that is set.
     """
 
     def __init__(self, length: int, cap: int):
@@ -36,9 +37,11 @@ class ResourceLimitError(RuntimeError):
     def __str__(self) -> str:
         what = "free word" if self.strand is None else f"image of strand {self.strand}"
         text = f"{what} reached {self.length} letters, over the cap of {self.cap}"
-        if self.position is None:
-            return text
-        return f"letter {self.position} ({self.token}): {text}"
+        if self.position is not None:
+            text = f"letter {self.position} ({self.token}): {text}"
+        if self.word is not None:
+            text = f"word {self.word}, {text}"
+        return text
 
 
 def substitute_erasing(

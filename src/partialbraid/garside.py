@@ -74,6 +74,8 @@ def perm_to_word(p: Perm, n: int | None = None) -> Word:
     place by adjacent swaps; the swaps, last first, are the crossings.
     """
     k = len(p)
+    if sorted(p) != list(range(k)):
+        raise ValueError(f"{p} is not a permutation of 0..{k - 1}")
     if n is None:
         n = k
     apos = list(invert_perm(p))
@@ -237,14 +239,15 @@ def left_greedy_nf(b: Word, k: int | None = None) -> GarsideNF:
         k = b.n
     ranks: list[int] = []
     for letter in b.letters:
-        if letter.index >= k:
-            raise ValueError(f"crossing {letter.token()} out of range for k={k}")
         if letter.kind == SIGMA:
-            ranks.append(letter.index)
+            rank = letter.index
         elif letter.kind == SIGMA_INV:
-            ranks.append(-letter.index)
+            rank = -letter.index
         else:
             raise ValueError("normal forms expect crossing-only words")
+        if letter.index >= k:
+            raise ValueError(f"crossing {letter.token()} out of range for k={k}")
+        ranks.append(rank)
     return _rank_nf(k, ranks)
 
 

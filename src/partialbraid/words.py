@@ -96,10 +96,6 @@ class Letter(_Frozen):
             letter = _LETTERS.setdefault((kind, index), letter)
         return letter
 
-    def fits(self, n: int) -> bool:
-        """Whether the index is in range for ambient strand count n."""
-        return self._strands <= n
-
     def token(self) -> str:
         return _TOKENS[self.kind].format(self.index)
 

@@ -26,6 +26,17 @@ TIMEOUT_S = 60
 # tests that must fail)
 MUTANTS = [
     (
+        "left_greedy_nf checks a letter's range before its kind",
+        "garside.py",
+        "    for letter in b.letters:\n",
+        "    for letter in b.letters:\n        if letter.index >= k:\n"
+        "            raise ValueError(f\"crossing {letter.token()} out of range for k={k}\")\n",
+        [
+            "tests/test_garside.py::test_left_greedy_error_texts",
+            "tests/test_cli.py::test_nf_refuses_the_last_deletion_by_kind",
+        ],
+    ),
+    (
         "normal-form core reads inverse ranks as positive",
         "garside.py",
         "    for r in reversed(ranks):\n",
@@ -112,6 +123,13 @@ MUTANTS = [
         "        if out and out[-1] == -x:\n",
         "        if out and out[-1] == x:\n",
         ["tests/test_garside.py::test_equal_nf_free_reduction_hypothesis"],
+    ),
+    (
+        "cap message leaves out the word",
+        "freegroup.py",
+        "        if self.word is not None:\n            text = f\"word {self.word}, {text}\"\n",
+        "",
+        ["tests/test_cli.py::test_resource_limit_exit_three"],
     ),
     (
         "substitute_erasing without its reversed",

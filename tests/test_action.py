@@ -52,6 +52,20 @@ def test_letter_endo_range_check():
         letter_endo(epsilon(3), 2)
 
 
+def _literal_images(letter, n):
+    """The images of one letter on n strands, written out by hand: the
+    identity with the letter's one or two images replaced."""
+    i = letter.index
+    replaced = {
+        W.SIGMA: [(i + 1,), (-(i + 1), i, i + 1)],
+        W.SIGMA_INV: [(i, i + 1, -i), (i,)],
+        W.XI: [(i + 1,), (i,)],
+        W.EPSILON: [None],
+    }[letter.kind]
+    identity = [(j,) for j in range(1, n + 1)]
+    return tuple(identity[: i - 1] + replaced + identity[i - 1 + len(replaced) :])
+
+
 def test_letter_maps_do_not_outlive_evaluate():
     # each of the 597 crossing and swap letters of n = 200 once: a table
     # kept per letter would hold about 1.1 MB of 200-tuples after the call
@@ -77,17 +91,9 @@ def test_letter_maps_do_not_outlive_evaluate():
     # and every letter map is still the identity with its one or two
     # images replaced
     n = 5
-    identity = [(j,) for j in range(1, n + 1)]
-    for i in range(1, n):
-        for letter, pair in (
-            (sigma(i), [(i + 1,), (-(i + 1), i, i + 1)]),
-            (sigma_inv(i), [(i, i + 1, -i), (i,)]),
-            (xi(i), [(i + 1,), (i,)]),
-            (epsilon(i), [None, (i + 1,)]),
-        ):
-            expected = tuple(identity[: i - 1] + pair + identity[i + 1 :])
-            assert letter_endo(letter, n).images == expected, letter.token()
-    assert letter_endo(epsilon(n), n).images == tuple(identity[:-1]) + (None,)
+    for letter in letter_pool(n, with_xi=True):
+        expected = _literal_images(letter, n)
+        assert letter_endo(letter, n).images == expected, letter.token()
 
 
 def test_fingerprint_matrices_are_one_table():
@@ -342,11 +348,11 @@ def _projecting_compose(first, second, max_letters):
 def _projecting_fold(word, max_letters):
     """Images of word, or the (position, token, strand, length, cap) of its
     cap hit, from the always-projecting composition."""
-    images = PartialEndo.identity(word.n).images
+    images = tuple((j,) for j in range(1, word.n + 1))
     for position, letter in enumerate(word.letters, 1):
         try:
             images = _projecting_compose(
-                images, letter_endo(letter, word.n).images, max_letters
+                images, _literal_images(letter, word.n), max_letters
             )
         except ResourceLimitError as exc:
             return position, letter.token(), exc.strand, exc.length, exc.cap

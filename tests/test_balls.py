@@ -5,6 +5,10 @@ the same classes, and every word must be equal_nf to the shortest word of
 its class.  The sphere sizes (classes whose shortest word has length l)
 pin the count of distinct elements.  is_central must agree with its
 definition on every class.
+
+The class graph reaches further: it multiplies one representative of
+each class by each generator, so it checks products of representatives,
+not every word.
 """
 
 import itertools
@@ -88,3 +92,43 @@ def test_welded_ball_partitions_agree():
     assert words == sum(len(pool) ** length for length in range(len(spheres))) == 7381
     assert [first_length.count(length) for length in range(len(spheres))] == spheres
     assert list(verdict_of.values()).count(True) == 2  # the identity and 0
+
+
+def class_spheres(n, radius):
+    """Sphere sizes of IB_n on the generators sigma_i^+-1 and epsilon_i, to
+    radius, by a breadth-first search over classes.
+
+    Each class at distance r + 1 is a class at distance r times a
+    generator, so the first word found of each class is its
+    representative.  Every product is checked both ways: equal canonical
+    forms must have equal fingerprints, and equal fingerprints equal
+    canonical forms.
+    """
+    pool = letter_pool(n)
+    matrices = _generator_matrices(n)
+    identity = Word(n)
+    fingerprint_of = {canonical_form(identity): _fingerprint(identity, matrices)}
+    form_of = {fingerprint: form for form, fingerprint in fingerprint_of.items()}
+    sphere = [identity]
+    spheres = [1]
+    for _ in range(radius):
+        reached = []
+        for rep in sphere:
+            for letter in pool:
+                word = Word(n, rep.letters + (letter,))
+                form = canonical_form(word)
+                fingerprint = _fingerprint(word, matrices)
+                if form not in fingerprint_of:
+                    reached.append(word)
+                # one fingerprint per form, and one form per fingerprint
+                assert fingerprint_of.setdefault(form, fingerprint) == fingerprint
+                assert form_of.setdefault(fingerprint, form) == form, str(word)
+        spheres.append(len(reached))
+        sphere = reached
+    return spheres
+
+
+def test_class_graph_spheres():
+    # the first seven agree with the word ball of n=3 above and in
+    # tests/big_ball.py; 2,714 classes in all
+    assert class_spheres(3, 8) == [1, 7, 23, 49, 88, 166, 332, 674, 1374]

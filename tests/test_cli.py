@@ -3,7 +3,8 @@ import json
 import pytest
 
 from partialbraid.cli import run
-from partialbraid.words import relation_suite
+from partialbraid.garside import left_greedy_nf
+from partialbraid.words import parse_word, relation_suite
 
 
 def out_lines(capsys):
@@ -369,17 +370,30 @@ def test_resource_limit_exit_three(capsys):
         )
     # central runs welded words on the action engine, under the same cap;
     # (s1 s2)^39 is a power of the full twist, so the word is central and
-    # every commutator it is checked against is evaluated
+    # every commutator it is checked against is evaluated; the cap line
+    # names which side of the first commutator hit it
     central = "t1 t1 " + "s1 s2 " * 39
     assert run(["central", "-n", "3", central]) == 0
     assert capsys.readouterr().out == "true\n"
     assert run(["central", "-n", "3", "--max-letters", "50", central]) == 3
     assert capsys.readouterr().err == (
-        "resource limit: letter 49 (s1): image of strand 2 reached 51 letters,"
-        " over the cap of 50\n"
+        "resource limit: word 1, letter 49 (s1): image of strand 2 reached 51"
+        " letters, over the cap of 50\n"
     )
     assert run(["central", "-n", "3", "--max-letters", "50", "t1 " + word]) == 1
     assert capsys.readouterr().out == "false\n"
+
+
+def test_nf_refuses_the_last_deletion_by_kind(capsys):
+    # e_n has no crossing of the same index on n strands; it is refused for
+    # its kind all the same, by the library and by the verb
+    kind = "normal forms expect crossing-only words"
+    for n in range(1, 5):
+        with pytest.raises(ValueError) as caught:
+            left_greedy_nf(parse_word(f"e{n}", n))
+        assert str(caught.value) == kind
+        assert run(["nf", "-n", str(n), f"e{n}"]) == 2
+        assert capsys.readouterr().err == f"error: {kind}\n"
 
 
 def test_batch_mode(tmp_path, capsys):

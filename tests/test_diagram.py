@@ -9,7 +9,7 @@ from conftest import (
     random_pure_braid,
     random_word,
 )
-from partialbraid.action import equal_action, tau
+from partialbraid.action import equal_action, evaluate
 from partialbraid.diagram import (
     Skeleton,
     _occupants,
@@ -285,10 +285,18 @@ def test_delete_strand_splits_over_products(rng):
         assert together == pieces
 
 
+def _image_cores(word):
+    """tau read off the action by hand: where each strand goes is the
+    middle letter of its image, or None for a deleted strand."""
+    return tuple(
+        None if img is None else img[len(img) // 2] for img in evaluate(word).images
+    )
+
+
 def test_skeleton_agrees_with_tau(rng):
     for _ in range(400):
         word = random_word(rng, rng.randint(0, 6), 20)
-        assert evaluate_skeleton(word).mapping == tau(word).mapping, str(word)
+        assert evaluate_skeleton(word).mapping == _image_cores(word), str(word)
 
 
 def test_makanin_examples():

@@ -220,11 +220,14 @@ def test_left_greedy_examples():
 
 
 def test_left_greedy_error_texts():
-    # letter by letter, the range is checked before the kind
+    # letter by letter, the kind is checked before the range, as
+    # word_to_perm does: a deletion is refused for its kind at any index
     for text, n, k, message in [
-        ("e3 s1", 3, None, "crossing e3 out of range for k=3"),
-        ("e2", 3, 2, "crossing e2 out of range for k=2"),
+        ("e3 s1", 3, None, "normal forms expect crossing-only words"),
+        ("e2", 3, 2, "normal forms expect crossing-only words"),
+        ("t2", 3, 2, "normal forms expect crossing-only words"),
         ("s2 e1", 3, 2, "crossing s2 out of range for k=2"),
+        ("s1 s2^-1 t1", 3, 2, "crossing s2^-1 out of range for k=2"),
         ("s1 e1", 3, 2, "normal forms expect crossing-only words"),
         ("e1 s2", 3, 2, "normal forms expect crossing-only words"),
         ("t1", 3, None, "normal forms expect crossing-only words"),
@@ -385,6 +388,16 @@ def test_garside_nf_refuses_factors_that_are_not_permutations():
         GarsideNF(3, 0, ((1, 2, 0), (2, 2, 2)))
     assert str(caught.value) == "factor (2, 2, 2) is not a permutation of 0..2"
     assert str(GarsideNF(3, 0, ((1, 2, 0),))) == "inf=0 factors=[2 3 1]"
+
+
+def test_perm_to_word_refuses_non_permutations():
+    # a repeated value and a value past k - 1 are refused before the sort,
+    # which would read the one as the identity and index past the other
+    for p in ((1, 1), (0, 2)):
+        with pytest.raises(ValueError) as caught:
+            perm_to_word(p)
+        assert str(caught.value) == f"{p} is not a permutation of 0..1"
+    assert perm_to_word((), 2) == Word(2)
 
 
 def test_garside_nf_validation():
