@@ -22,8 +22,9 @@ class ResourceLimitError(RuntimeError):
     passed.  When the word is a strand's image under a braid word, the
     action fills in where: strand (the start strand whose image grew), then
     position (1-based) and token of the letter being applied, and
-    equal_action adds word, which of its two words (1 or 2) it was.  The
-    message names each of them that is set.
+    equal_action adds word, which of its two words (1 or 2) it was, and a
+    caller comparing two products of one word may add product, say "s1 w".
+    The message names each of them that is set.
     """
 
     def __init__(self, length: int, cap: int):
@@ -33,6 +34,7 @@ class ResourceLimitError(RuntimeError):
         self.position: int | None = None
         self.token: str | None = None
         self.word: int | None = None
+        self.product: str | None = None
 
     def __str__(self) -> str:
         what = "free word" if self.strand is None else f"image of strand {self.strand}"
@@ -40,7 +42,8 @@ class ResourceLimitError(RuntimeError):
         if self.position is not None:
             text = f"letter {self.position} ({self.token}): {text}"
         if self.word is not None:
-            text = f"word {self.word}, {text}"
+            product = "" if self.product is None else f" ({self.product})"
+            text = f"word {self.word}{product}, {text}"
         return text
 
 

@@ -352,36 +352,16 @@ def _crossing_once(k: int, core: tuple[int, ...]) -> list[int] | None:
 
 
 def is_i_makanin(w: Word, i: int) -> bool:
-    """Does deleting strand i from w leave the trivial diagram?
-
-    Defined for full braids (every strand survives w), where it asks
-    whether e_i w equals e_i, and for the single-deletion idempotent e_i
-    itself; other partial words raise.
-    """
-    n = w.n
-    if not 1 <= i <= n:
-        raise ValueError(f"strand index {i} out of range for n={n}")
-    if None not in _occupants(w):
-        return _deleting_leaves_trivial(w, i)
-    if equal_nf(w, Word(n, (epsilon(i),))):
-        return True
-    raise ValueError(
-        "i-Makanin test needs a full braid or the single-deletion "
-        "idempotent at i itself"
-    )
-
-
-def _deleting_leaves_trivial(w: Word, i: int) -> bool:
-    """e_i w == e_i, the i-Makanin condition for a full braid w."""
+    """Does deleting strand i from w leave the trivial diagram: e_i w == e_i?"""
+    if not 1 <= i <= w.n:
+        raise ValueError(f"strand index {i} out of range for n={w.n}")
     e_i = Word(w.n, (epsilon(i),))
     return equal_nf(e_i * w, e_i)
 
 
 def is_makanin(w: Word) -> bool:
     """True when w is i-Makanin for every strand i."""
-    if None in _occupants(w):
-        raise ValueError("Makanin test needs a full braid")
-    return all(_deleting_leaves_trivial(w, i) for i in range(1, w.n + 1))
+    return all(is_i_makanin(w, i) for i in range(1, w.n + 1))
 
 
 def reconstruct_word(c: CanonicalForm) -> Word:

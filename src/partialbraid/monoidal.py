@@ -9,7 +9,7 @@ honest braid, which is what the decomposition here computes.
 from __future__ import annotations
 
 from .diagram import PartialInjection, evaluate_skeleton
-from .freegroup import MAX_LETTERS
+from .freegroup import MAX_LETTERS, ResourceLimitError
 from .garside import _deletions_and_spread, canonical_form, equal_nf
 from .words import (
     XI,
@@ -103,8 +103,16 @@ def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
 
 
 def _commutes_with_generators(w: Word, max_letters: int = MAX_LETTERS) -> bool:
-    """The definition: w g == g w for every sigma_i and epsilon_i."""
+    """The definition: w g == g w for every sigma_i and epsilon_i.  A cap hit
+    names the product it was evaluating, w g (word 1) or g w (word 2)."""
     n = w.n
     generators = [Word(n, (sigma(i),)) for i in range(1, n)]
     generators += [Word(n, (epsilon(i),)) for i in range(1, n + 1)]
-    return all(_equal(w * g, g * w, max_letters) for g in generators)
+    for g in generators:
+        try:
+            if not _equal(w * g, g * w, max_letters):
+                return False
+        except ResourceLimitError as exc:
+            exc.product = f"w {g}" if exc.word == 1 else f"{g} w"
+            raise
+    return True

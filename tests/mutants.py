@@ -127,7 +127,7 @@ MUTANTS = [
     (
         "cap message leaves out the word",
         "freegroup.py",
-        "        if self.word is not None:\n            text = f\"word {self.word}, {text}\"\n",
+        "            text = f\"word {self.word}{product}, {text}\"\n",
         "",
         ["tests/test_cli.py::test_resource_limit_exit_three"],
     ),
@@ -193,6 +193,20 @@ MUTANTS = [
         "        if XI not in w1.kinds() and XI not in w2.kinds():\n            raise\n",
         "        pass\n",
         ["tests/test_monoidal.py::test_equal_dispatch_error_path"],
+    ),
+    (
+        "is_i_makanin compares the strand maps only",
+        "garside.py",
+        "    return equal_nf(e_i * w, e_i)\n",
+        "    return _occupants(e_i * w) == _occupants(e_i)\n",
+        ["tests/test_diagram.py::test_makanin_examples"],
+    ),
+    (
+        "is_makanin skips strand n",
+        "garside.py",
+        "for i in range(1, w.n + 1))",
+        "for i in range(1, w.n))",
+        ["tests/test_diagram.py::test_makanin_domain_restrictions"],
     ),
     (
         "word_to_perm drops invert_perm",

@@ -17,6 +17,7 @@ from partialbraid.action import (
 from partialbraid.diagram import (
     AbelianClass,
     PartialInjection,
+    _occupants,
     abelian_invariant,
     compose_injection,
 )
@@ -220,6 +221,19 @@ def test_tau_is_a_homomorphism(rng):
         n = rng.randint(1, 5)
         w1, w2 = random_word(rng, n, 12), random_word(rng, n, 12)
         assert tau(w1 * w2) == compose_injection(tau(w1), tau(w2))
+
+
+def test_tau_matches_the_welded_strand_tracker(rng):
+    # 3,000 seeded words with crossings, deletions and swaps: the image
+    # cores of tau against the end positions the strand tracker follows
+    deleted = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        word = random_word(rng, n, 30, with_xi=True)
+        tracked = PartialInjection(n, tuple(_occupants(word, welded=True)))
+        assert tau(word, max_letters=10 ** 5) == tracked.inverse(), str(word)
+        deleted += not tracked.is_total()
+    assert 0 < deleted < 3000
 
 
 def test_injection_axioms():

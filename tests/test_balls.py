@@ -100,15 +100,17 @@ def class_spheres(n, radius):
 
     Each class at distance r + 1 is a class at distance r times a
     generator, so the first word found of each class is its
-    representative.  Every product is checked both ways: equal canonical
-    forms must have equal fingerprints, and equal fingerprints equal
-    canonical forms.
+    representative.  Every product is checked both ways against its
+    canonical form: equal forms must have equal fingerprints and equal
+    action images, and equal fingerprints, like equal images, equal forms.
     """
     pool = letter_pool(n)
     matrices = _generator_matrices(n)
     identity = Word(n)
     fingerprint_of = {canonical_form(identity): _fingerprint(identity, matrices)}
+    image_of = {canonical_form(identity): evaluate(identity).images}
     form_of = {fingerprint: form for form, fingerprint in fingerprint_of.items()}
+    form_of_image = {image: form for form, image in image_of.items()}
     sphere = [identity]
     spheres = [1]
     for _ in range(radius):
@@ -118,11 +120,15 @@ def class_spheres(n, radius):
                 word = Word(n, rep.letters + (letter,))
                 form = canonical_form(word)
                 fingerprint = _fingerprint(word, matrices)
+                image = evaluate(word).images
                 if form not in fingerprint_of:
                     reached.append(word)
-                # one fingerprint per form, and one form per fingerprint
+                # one fingerprint and one image per form, and one form per
+                # fingerprint and per image
                 assert fingerprint_of.setdefault(form, fingerprint) == fingerprint
                 assert form_of.setdefault(fingerprint, form) == form, str(word)
+                assert image_of.setdefault(form, image) == image, str(word)
+                assert form_of_image.setdefault(image, form) == form, str(word)
         spheres.append(len(reached))
         sphere = reached
     return spheres

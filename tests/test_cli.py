@@ -371,14 +371,19 @@ def test_resource_limit_exit_three(capsys):
     # central runs welded words on the action engine, under the same cap;
     # (s1 s2)^39 is a power of the full twist, so the word is central and
     # every commutator it is checked against is evaluated; the cap line
-    # names which side of the first commutator hit it
+    # names the product that hit it, and its letter counts in that product
     central = "t1 t1 " + "s1 s2 " * 39
     assert run(["central", "-n", "3", central]) == 0
     assert capsys.readouterr().out == "true\n"
     assert run(["central", "-n", "3", "--max-letters", "50", central]) == 3
     assert capsys.readouterr().err == (
-        "resource limit: word 1, letter 49 (s1): image of strand 2 reached 51"
-        " letters, over the cap of 50\n"
+        "resource limit: word 1 (w s1), letter 49 (s1): image of strand 2"
+        " reached 51 letters, over the cap of 50\n"
+    )
+    assert run(["central", "-n", "3", "--max-letters", "85", central]) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: word 2 (e1 w), letter 70 (s1): image of strand 3"
+        " reached 86 letters, over the cap of 85\n"
     )
     assert run(["central", "-n", "3", "--max-letters", "50", "t1 " + word]) == 1
     assert capsys.readouterr().out == "false\n"
