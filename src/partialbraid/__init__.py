@@ -21,8 +21,6 @@ from .garside import (
     GarsideNF,
     canonical_form,
     equal_nf,
-    is_i_makanin,
-    is_makanin,
     is_permutation_braid,
     left_greedy_nf,
     perm_to_word,
@@ -33,6 +31,8 @@ from .monoidal import (
     check_naturality,
     factorize,
     is_central,
+    is_i_makanin,
+    is_makanin,
     mu,
     positive_lift,
 )

@@ -105,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("inv", "monoid inverse (mirror of the word)", _cmd_inv)
     sp.add_argument("word")
 
-    sp = add("makanin", "trivial after deleting any one strand?", _cmd_makanin)
+    sp = add("makanin", "trivial after deleting any one strand?", _cmd_makanin, capped=True)
     sp.add_argument("word")
 
-    sp = add("imakanin", "trivial after deleting strand i?", _cmd_imakanin)
+    sp = add("imakanin", "trivial after deleting strand i?", _cmd_imakanin, capped=True)
     sp.add_argument("i", type=int)
     sp.add_argument("word")
 
@@ -305,15 +305,13 @@ def _cmd_inv(args) -> int:
 
 
 def _cmd_makanin(args) -> int:
-    return _bool_result(
-        args, garside.is_makanin(words.parse_word(args.word, args.n))
-    )
+    word = words.parse_word(args.word, args.n)
+    return _bool_result(args, monoidal.is_makanin(word, args.max_letters))
 
 
 def _cmd_imakanin(args) -> int:
-    return _bool_result(
-        args, garside.is_i_makanin(words.parse_word(args.word, args.n), args.i)
-    )
+    word = words.parse_word(args.word, args.n)
+    return _bool_result(args, monoidal.is_i_makanin(word, args.i, args.max_letters))
 
 
 def _cmd_delete(args) -> int:

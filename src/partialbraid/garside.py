@@ -11,7 +11,6 @@ The greedy condition for an adjacent factor pair (A, B) is that every
 crossing that could start B already finishes A; sliding violating
 crossings leftward terminates and the resulting form is unique, which is
 what makes structural equality of canonical forms a word-problem solver.
-The Makanin tests are decided here too, by their definition through it.
 """
 
 from __future__ import annotations
@@ -349,19 +348,6 @@ def _crossing_once(k: int, core: tuple[int, ...]) -> list[int] | None:
             return None
         p[g], p[g + 1] = b, a
     return p
-
-
-def is_i_makanin(w: Word, i: int) -> bool:
-    """Does deleting strand i from w leave the trivial diagram: e_i w == e_i?"""
-    if not 1 <= i <= w.n:
-        raise ValueError(f"strand index {i} out of range for n={w.n}")
-    e_i = Word(w.n, (epsilon(i),))
-    return equal_nf(e_i * w, e_i)
-
-
-def is_makanin(w: Word) -> bool:
-    """True when w is i-Makanin for every strand i."""
-    return all(is_i_makanin(w, i) for i in range(1, w.n + 1))
 
 
 def reconstruct_word(c: CanonicalForm) -> Word:

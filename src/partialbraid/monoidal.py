@@ -1,9 +1,12 @@
-"""Monoidal structure: block pairing, braiding checks, factorization, center.
+"""Monoidal structure: block pairing, braiding checks, factorization, and
+the element predicates (centre, Makanin tests).
 
 The pairing places two partial braids side by side; the braiding carries
 one block over the other, and conjugation by it swaps paired factors.
 Every element also factors as an idempotent (the deletions) times an
-honest braid, which is what the decomposition here computes.
+honest braid, which is what the decomposition here computes.  Every
+predicate that compares two words asks the one equality, _equal, which
+picks the engine: normal forms, or the action for welded words.
 """
 
 from __future__ import annotations
@@ -116,3 +119,25 @@ def _commutes_with_generators(w: Word, max_letters: int = MAX_LETTERS) -> bool:
             exc.product = f"w {g}" if exc.word == 1 else f"{g} w"
             raise
     return True
+
+
+def is_i_makanin(w: Word, i: int, max_letters: int = MAX_LETTERS) -> bool:
+    """Does deleting strand i from w leave the trivial diagram: e_i w == e_i?
+
+    The strand index is checked before the word.  Welded words are decided
+    on the action engine under max_letters; a cap hit names the product
+    e_i w, the only one of the two that can grow.
+    """
+    if not 1 <= i <= w.n:
+        raise ValueError(f"strand index {i} out of range for n={w.n}")
+    e_i = Word(w.n, (epsilon(i),))
+    try:
+        return _equal(e_i * w, e_i, max_letters)
+    except ResourceLimitError as exc:
+        exc.product = f"{e_i} w"
+        raise
+
+
+def is_makanin(w: Word, max_letters: int = MAX_LETTERS) -> bool:
+    """True when w is i-Makanin for every strand i."""
+    return all(is_i_makanin(w, i, max_letters) for i in range(1, w.n + 1))

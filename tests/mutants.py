@@ -196,14 +196,22 @@ MUTANTS = [
     ),
     (
         "is_i_makanin compares the strand maps only",
-        "garside.py",
-        "    return equal_nf(e_i * w, e_i)\n",
-        "    return _occupants(e_i * w) == _occupants(e_i)\n",
+        "monoidal.py",
+        "        return _equal(e_i * w, e_i, max_letters)\n",
+        "        from .diagram import _occupants\n\n"
+        "        return _occupants(e_i * w) == _occupants(e_i)\n",
         ["tests/test_diagram.py::test_makanin_examples"],
     ),
     (
+        "is_i_makanin asks equal_nf, not _equal",
+        "monoidal.py",
+        "        return _equal(e_i * w, e_i, max_letters)\n",
+        "        return equal_nf(e_i * w, e_i)\n",
+        ["tests/test_diagram.py::test_welded_makanin_on_swaps_and_deletions"],
+    ),
+    (
         "is_makanin skips strand n",
-        "garside.py",
+        "monoidal.py",
         "for i in range(1, w.n + 1))",
         "for i in range(1, w.n))",
         ["tests/test_diagram.py::test_makanin_domain_restrictions"],

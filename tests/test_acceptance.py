@@ -16,15 +16,18 @@ from partialbraid.garside import (
     canonical_form,
     equal_nf,
     identity_perm,
-    is_i_makanin,
-    is_makanin,
     is_permutation_braid,
     left_weighted,
     longest_perm,
     perm_to_word,
     reconstruct_word,
 )
-from partialbraid.monoidal import check_naturality, positive_lift
+from partialbraid.monoidal import (
+    check_naturality,
+    is_i_makanin,
+    is_makanin,
+    positive_lift,
+)
 from partialbraid.words import (
     SUITE_IDS,
     Word,

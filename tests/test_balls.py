@@ -18,8 +18,12 @@ import pytest
 from conftest import letter_pool
 from partialbraid.action import _fingerprint, _generator_matrices, evaluate
 from partialbraid.garside import canonical_form, equal_nf
-from partialbraid.monoidal import _commutes_with_generators, is_central
+from partialbraid.monoidal import _commutes_with_generators, is_central, is_makanin
 from partialbraid.words import Word
+
+# spheres of the welded monoid on n=3 strands, from the word ball below
+# and, further, from the class graph
+WELDED_SPHERES = [1, 9, 43, 165, 627, 2466, 9846]
 
 
 @pytest.mark.parametrize(
@@ -66,14 +70,16 @@ def test_welded_ball_partitions_agree():
     # n=3 with welded letters, length <= 4: 7,381 words.  Action images
     # and fingerprints split the ball into the same 845 classes, and
     # is_central, by definition for welded words and by canonical form for
-    # the rest, is one verdict per class and agrees with the definition
-    n, spheres = 3, [1, 9, 43, 165, 627]
+    # the rest, is one verdict per class and agrees with the definition;
+    # is_makanin, by the action or by normal forms, is one verdict per class
+    n, spheres = 3, WELDED_SPHERES[:5]
     pool = letter_pool(n, with_xi=True)
     matrices = _generator_matrices(n)
     rep_of: dict = {}
     image_of: dict = {}
     fingerprint_of: dict = {}
     verdict_of: dict = {}
+    makanin_of: dict = {}
     first_length = []
     words = 0
     for length in range(len(spheres)):
@@ -88,29 +94,41 @@ def test_welded_ball_partitions_agree():
                 first_length.append(length)
                 verdict_of[image] = _commutes_with_generators(word)
             assert is_central(word) == verdict_of[image], str(word)
+            makanin = is_makanin(word)
+            assert makanin_of.setdefault(image, makanin) == makanin, str(word)
             words += 1
     assert words == sum(len(pool) ** length for length in range(len(spheres))) == 7381
     assert [first_length.count(length) for length in range(len(spheres))] == spheres
     assert list(verdict_of.values()).count(True) == 2  # the identity and 0
 
 
-def class_spheres(n, radius):
-    """Sphere sizes of IB_n on the generators sigma_i^+-1 and epsilon_i, to
-    radius, by a breadth-first search over classes.
+def class_spheres(n, radius, welded=False):
+    """Sphere sizes of IB_n on the generators sigma_i^+-1 and epsilon_i, or
+    of the welded monoid with t_i too, to radius, by a breadth-first search
+    over classes.
 
     Each class at distance r + 1 is a class at distance r times a
     generator, so the first word found of each class is its
-    representative.  Every product is checked both ways against its
-    canonical form: equal forms must have equal fingerprints and equal
-    action images, and equal fingerprints, like equal images, equal forms.
+    representative.  A class is keyed by its canonical form, or by its
+    action images in the welded monoid, which has no normal form here.
+    Every product is checked both ways against its key: equal keys must
+    have equal fingerprints (and equal images), and equal fingerprints,
+    like equal images, equal keys.
     """
-    pool = letter_pool(n)
+    pool = letter_pool(n, with_xi=welded)
     matrices = _generator_matrices(n)
+
+    def key_and_views(word):
+        image = evaluate(word).images
+        fingerprint = _fingerprint(word, matrices)
+        if welded:
+            return image, (fingerprint,)
+        return canonical_form(word), (fingerprint, image)
+
     identity = Word(n)
-    fingerprint_of = {canonical_form(identity): _fingerprint(identity, matrices)}
-    image_of = {canonical_form(identity): evaluate(identity).images}
-    form_of = {fingerprint: form for form, fingerprint in fingerprint_of.items()}
-    form_of_image = {image: form for form, image in image_of.items()}
+    key, views = key_and_views(identity)
+    view_of = [{key: view} for view in views]
+    key_of = [{view: key} for view in views]
     sphere = [identity]
     spheres = [1]
     for _ in range(radius):
@@ -118,17 +136,13 @@ def class_spheres(n, radius):
         for rep in sphere:
             for letter in pool:
                 word = Word(n, rep.letters + (letter,))
-                form = canonical_form(word)
-                fingerprint = _fingerprint(word, matrices)
-                image = evaluate(word).images
-                if form not in fingerprint_of:
+                key, views = key_and_views(word)
+                if key not in view_of[0]:
                     reached.append(word)
-                # one fingerprint and one image per form, and one form per
-                # fingerprint and per image
-                assert fingerprint_of.setdefault(form, fingerprint) == fingerprint
-                assert form_of.setdefault(fingerprint, form) == form, str(word)
-                assert image_of.setdefault(form, image) == image, str(word)
-                assert form_of_image.setdefault(image, form) == form, str(word)
+                # one view per key, and one key per view
+                for by_key, by_view, view in zip(view_of, key_of, views):
+                    assert by_key.setdefault(key, view) == view, str(word)
+                    assert by_view.setdefault(view, key) == key, str(word)
         spheres.append(len(reached))
         sphere = reached
     return spheres
@@ -138,3 +152,8 @@ def test_class_graph_spheres():
     # the first seven agree with the word ball of n=3 above and in
     # tests/big_ball.py; 2,714 classes in all
     assert class_spheres(3, 8) == [1, 7, 23, 49, 88, 166, 332, 674, 1374]
+
+
+def test_welded_class_graph_spheres():
+    # the first five agree with the welded word ball above; 13,157 classes
+    assert class_spheres(3, 6, welded=True) == WELDED_SPHERES

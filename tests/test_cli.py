@@ -227,7 +227,9 @@ def test_max_letters_only_on_verbs_that_reach_the_action(capsys):
         for verb, sub in verbs.items()
         if any("--max-letters" in action.option_strings for action in sub._actions)
     }
-    assert capped == {"eval", "eq", "tau", "central", "verify-presentation"}
+    assert capped == {
+        "eval", "eq", "tau", "central", "makanin", "imakanin", "verify-presentation"
+    }
     assert len(verbs) == 15
     assert _exit_code(["canon", "-n", "3", "--max-letters", "5", "s1"]) == 2
     assert _exit_code(["canon", "-n", "3", "s1"]) == 0
@@ -387,6 +389,18 @@ def test_resource_limit_exit_three(capsys):
     )
     assert run(["central", "-n", "3", "--max-letters", "50", "t1 " + word]) == 1
     assert capsys.readouterr().out == "false\n"
+    # so do makanin and imakanin: a cap line names the product e_i w, and
+    # its letter counts the leading e_i
+    unwound = "t1 t1 " + "s1 s2 " * 20 + "s2^-1 s1^-1 " * 20
+    assert run(["makanin", "-n", "3", unwound]) == 0
+    assert capsys.readouterr().out == "true\n"
+    capped = ["-n", "3", "--max-letters", "50"]
+    for argv in ["makanin", *capped], ["imakanin", *capped, "1"]:
+        assert run(argv + [unwound]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: word 1 (e1 w), letter 41 (s2): image of strand 3"
+            " reached 51 letters, over the cap of 50\n"
+        )
 
 
 def test_nf_refuses_the_last_deletion_by_kind(capsys):

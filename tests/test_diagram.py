@@ -17,7 +17,8 @@ from partialbraid.diagram import (
     delete_strand,
     evaluate_skeleton,
 )
-from partialbraid.garside import is_i_makanin, is_makanin, word_to_perm
+from partialbraid.garside import word_to_perm
+from partialbraid.monoidal import is_i_makanin, is_makanin
 from partialbraid.words import (
     EPSILON,
     SIGMA,
@@ -29,6 +30,7 @@ from partialbraid.words import (
     parse_word,
     sigma,
     sigma_inv,
+    xi,
 )
 
 
@@ -322,25 +324,41 @@ def test_makanin_domain_restrictions():
 
 
 def test_makanin_error_texts():
-    welded = "skeletons are not defined for xi letters"
-    # a welded letter is refused wherever it sits, deletions or not
+    # a welded letter is answered wherever it sits, deletions or not: the
+    # one equality hands it to the action
     for text in ["t1", "e1 t1", "t1 e1"]:
-        with pytest.raises(ValueError) as caught:
-            is_makanin(w(text, 2))
-        assert str(caught.value) == welded, text
-    # the strand index is checked first, then the letters
-    for text, i, message in [
-        ("t1", 3, "strand index 3 out of range for n=2"),
-        ("e1", 0, "strand index 0 out of range for n=2"),
-        ("t1", 1, welded),
-        ("e1 t1", 1, welded),
-    ]:
+        assert not is_makanin(w(text, 2)), text
+    assert is_makanin(w("t1 t1", 2))
+    # the strand index is checked first, before any letter
+    for text, i in [("t1", 3), ("e1", 0)]:
         with pytest.raises(ValueError) as caught:
             is_i_makanin(w(text, 2), i)
-        assert str(caught.value) == message, (text, i)
+        assert str(caught.value) == f"strand index {i} out of range for n=2", (text, i)
+    for text, i in [("t1", 1), ("e1 t1", 1)]:
+        assert not is_i_makanin(w(text, 2), i), (text, i)
     # partial words without welded letters get an answer, not an error
     assert not is_makanin(w("s1 e2", 2))
     assert not is_i_makanin(w("s1 e2", 2), 2)
+
+
+def test_welded_makanin_on_swaps_and_deletions():
+    # words of t and e letters act as partial permutations of the
+    # generators, so the strand tracker decides e_i w == e_i without the
+    # action: 11,718 (w, i) cases
+    n = 3
+    pool = [xi(1), xi(2)] + [epsilon(i) for i in range(1, n + 1)]
+    cases = true = 0
+    for length in range(6):
+        for letters in itertools.product(pool, repeat=length):
+            word = Word(n, letters)
+            for i in range(1, n + 1):
+                e_i = Word(n, (epsilon(i),))
+                tracked = _occupants(e_i * word, welded=True)
+                expected = tracked == _occupants(e_i, welded=True)
+                assert is_i_makanin(word, i) == expected, (str(word), i)
+                cases += 1
+                true += expected
+    assert cases == 11718 and true == 246
 
 
 def test_makanin_agrees_with_definitional_check(rng):

@@ -61,6 +61,14 @@ def test_export_list_is_unchanged():
     assert sorted(partialbraid.__all__) == EXPORTS
 
 
+def test_element_predicates_live_in_monoidal():
+    from partialbraid import garside
+
+    for name in ("is_central", "is_i_makanin", "is_makanin"):
+        assert getattr(partialbraid, name).__module__ == "partialbraid.monoidal"
+    assert not [name for name in vars(garside) if "makanin" in name.lower()]
+
+
 def test_strand_facts_live_in_diagram():
     from partialbraid import action, diagram
 
