@@ -288,7 +288,9 @@ def equal_nf(w1: Word, w2: Word) -> bool:
        either survivor braid is built.
     2. The braid group is a quotient of the free group on the crossings,
        so survivor braids that freely reduce to the same word answer True.
-    3. Otherwise the reduced braids lose their longest common prefix, then
+    3. The exponent sum, a homomorphism B_k -> Z, survives free reduction:
+       reduced braids whose sums differ answer False.
+    4. Otherwise the reduced braids lose their longest common prefix, then
        their longest common suffix within what the prefix left, and the two
        remaining cores decide (_equal_cores): the survivor braids lie in
        the group B_k, where p u s = p v s exactly when u = v.
@@ -306,6 +308,8 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     r2 = reduce(_replay(w2, occupant))
     if r1 == r2:
         return True
+    if _exponent_sum(r1) != _exponent_sum(r2):
+        return False
     m = min(len(r1), len(r2))
     i = 0
     while i < m and r1[i] == r2[i]:
@@ -315,6 +319,11 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     while j < m - i and r1[-1 - j] == r2[-1 - j]:
         j += 1
     return _equal_cores(k, r1[i : len(r1) - j], r2[i : len(r2) - j])
+
+
+def _exponent_sum(ranks: tuple[int, ...]) -> int:
+    """Crossings minus inverse crossings of a signed-rank braid."""
+    return len(ranks) - 2 * sum(r < 0 for r in ranks)
 
 
 def _equal_cores(k: int, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:

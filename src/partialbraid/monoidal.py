@@ -11,7 +11,9 @@ picks the engine: normal forms, or the action for welded words.
 
 from __future__ import annotations
 
-from .diagram import PartialInjection, evaluate_skeleton
+from .diagram import (
+    PartialInjection, _occupants, abelian_invariant, evaluate_skeleton
+)
 from .freegroup import MAX_LETTERS, ResourceLimitError
 from .garside import _deletions_and_spread, canonical_form, equal_nf
 from .words import (
@@ -91,18 +93,25 @@ def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
     """Does w commute with every sigma_i and epsilon_i?
 
     The centre of IB_n is the even powers of the half-twist together with
-    the empty braid, so one canonical form decides a word without welded
-    letters: an empty domain, or a full one with no factors and an even
-    half-twist power.  Welded words are decided by that definition, on the
-    action engine under max_letters; the swaps t_i are not tried.
+    the empty braid.  Without welded letters, invariants answer first: a
+    word deleting a strand is central only when it deletes all of them,
+    and one keeping them all only when it is pure with an exponent sum a
+    multiple of n(n-1), that of the half-twist squared; only then is the
+    canonical form built, and no factors (a pure half-twist power is an
+    even one) means central.  Welded words are decided by the definition,
+    on the action engine under max_letters; the swaps t_i are not tried.
     """
     if XI in w.kinds():
         return _commutes_with_generators(w, max_letters)
-    form = canonical_form(w)
-    nf = form.nf
-    return not form.domain or (
-        len(form.domain) == w.n and not nf.factors and nf.inf % 2 == 0
-    )
+    n = w.n
+    occupant = _occupants(w)
+    if None in occupant:
+        return occupant.count(None) == n
+    if occupant != list(range(1, n + 1)):
+        return False
+    if n >= 2 and abelian_invariant(w).exponent_sum % (n * (n - 1)):
+        return False
+    return not canonical_form(w).nf.factors
 
 
 def _commutes_with_generators(w: Word, max_letters: int = MAX_LETTERS) -> bool:

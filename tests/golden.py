@@ -212,6 +212,24 @@ def cases() -> list[dict]:
                 argv += ["--engine", "action", "--max-letters", "50"]
             add(argv + ["--batch", FILE], file=text)
             add(argv + ["--batch", "-"], stdin=text)
+    # makanin and imakanin under their cap: drawn from a seed of their own,
+    # so that the records above keep theirs
+    rng = random.Random(SEED + 1)
+    for n in range(2, 6):
+        for fmt in ("text", "json"):
+            for _ in range(4):
+                word = _word(rng, n, 10, welded=rng.random() < 0.6)
+                add(_with_cap(rng, _with_format(["makanin", "-n", str(n), word], fmt)))
+                word = _word(rng, n, 10, welded=rng.random() < 0.6)
+                argv = ["imakanin", "-n", str(n), str(rng.randint(1, n)), word]
+                add(_with_cap(rng, _with_format(argv, fmt)))
+        # a welded identity, t1 t1 x x^-1, whose strand images outgrow a
+        # small cap before they cancel
+        x = [f"s{rng.randint(1, n - 1)}" for _ in range(20)]
+        word = " ".join(["t1", "t1", *x] + [f"{g}^-1" for g in reversed(x)])
+        cap = rng.choice(("1", "50"))
+        add(["makanin", "-n", str(n), "--max-letters", cap, word])
+        add(["imakanin", "-n", str(n), "--max-letters", cap, str(rng.randint(1, n)), word])
     return out
 
 

@@ -86,14 +86,28 @@ MUTANTS = [
         ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
     ),
     (
-        "stage 3 counts a repeated crossing into a permutation braid",
+        "equal_nf's exponent-sum exit tests == instead of !=",
+        "garside.py",
+        "    if _exponent_sum(r1) != _exponent_sum(r2):\n",
+        "    if _exponent_sum(r1) == _exponent_sum(r2):\n",
+        ["tests/test_garside.py::test_equal_nf_exponent_sum_exit_against_the_action"],
+    ),
+    (
+        "equal_nf's exponent-sum exit compares absolute values",
+        "garside.py",
+        "    if _exponent_sum(r1) != _exponent_sum(r2):\n",
+        "    if abs(_exponent_sum(r1)) != abs(_exponent_sum(r2)):\n",
+        ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
+    ),
+    (
+        "the last stage counts a repeated crossing into a permutation braid",
         "garside.py",
         "        if a > b:\n            return None\n",
         "",
         ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
     ),
     (
-        "stage 3 compares permutations of cores with mixed signs",
+        "the last stage compares permutations of cores with mixed signs",
         "garside.py",
         "    if min(both) > 0 or max(both) < 0:\n",
         "    if True:\n",
@@ -181,11 +195,33 @@ MUTANTS = [
         ["tests/test_action.py::test_fingerprint_matrices_are_one_table"],
     ),
     (
-        "is_central accepts odd half-twist powers",
+        "is_central: a partial domain answers true",
         "monoidal.py",
-        " and not nf.factors and nf.inf % 2 == 0\n",
-        " and not nf.factors\n",
-        ["tests/test_monoidal.py::test_is_central_refuses_odd_twist_powers"],
+        "        return occupant.count(None) == n\n",
+        "        return True\n",
+        ["tests/test_monoidal.py::test_is_central_examples"],
+    ),
+    (
+        "is_central skips the identity-map check",
+        "monoidal.py",
+        "    if occupant != list(range(1, n + 1)):\n        return False\n",
+        "",
+        ["tests/test_monoidal.py::test_is_central_exits_agree_with_the_canonical_form_rule"],
+    ),
+    (
+        "is_central skips the exponent-sum check",
+        "monoidal.py",
+        "    if n >= 2 and abelian_invariant(w).exponent_sum % (n * (n - 1)):\n"
+        "        return False\n",
+        "",
+        ["tests/test_monoidal.py::test_is_central_exits_agree_with_the_canonical_form_rule"],
+    ),
+    (
+        "is_central answers true on every pure word of a twist-square sum",
+        "monoidal.py",
+        "    return not canonical_form(w).nf.factors\n",
+        "    return True\n",
+        ["tests/test_monoidal.py::test_is_central_exits_agree_with_the_canonical_form_rule"],
     ),
     (
         "monoidal._equal falls back to the action on every ValueError",

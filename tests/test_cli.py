@@ -625,10 +625,11 @@ def test_python_dash_m_entry_point():
 
     # Run against this checkout's own src/, whatever directory pytest was
     # started from; the minimal env keeps an outer PYTHONPATH or an
-    # installed copy of the package from masking a broken checkout.
+    # installed copy of the package from masking a broken checkout, and
+    # -B keeps the child from writing bytecode into src/.
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "partialbraid", "eq", "-n", "2", "e1 s1", "s1 e2"],
+        [sys.executable, "-B", "-m", "partialbraid", "eq", "-n", "2", "e1 s1", "s1 e2"],
         capture_output=True,
         text=True,
         cwd=root,
@@ -653,7 +654,7 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     )
     env = {"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin:/usr/local/bin"}
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         capture_output=True,
         text=True,
         cwd=root,
@@ -664,7 +665,7 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     # annotations need no typing: without site, which may preload it,
     # importing the CLI must not load it
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, partialbraid.cli; "
+        [sys.executable, "-B", "-S", "-c", "import sys, partialbraid.cli; "
          "print('typing' in sys.modules)"],
         capture_output=True,
         text=True,
@@ -708,7 +709,7 @@ def test_batch_stdin_answers_each_pair_before_eof(fmt, answers):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(root / "src")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "partialbraid", "eq", "-n", "2", "--format", fmt,
+        [sys.executable, "-B", "-m", "partialbraid", "eq", "-n", "2", "--format", fmt,
          "--batch", "-"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )

@@ -520,8 +520,14 @@ def _one_sign_permutation_braids(k, c1, c2):
     )
 
 
-def _stage3_exit(core_calls, nf_calls):
-    """Which exit of equal_nf's stage 3 decided, checked against the
+def _signed_sum(ranks):
+    """Exponent sum of a signed-rank braid: +1 per crossing, -1 per
+    inverse crossing."""
+    return sum(1 if r > 0 else -1 for r in ranks)
+
+
+def _cores_exit(core_calls, nf_calls):
+    """Which exit of equal_nf's last stage decided, checked against the
     cores it received: the permutation comparison exactly for one-sign
     permutation braids, the normal forms of both cores otherwise."""
     (k, c1, c2), = core_calls
@@ -540,12 +546,13 @@ def test_equal_nf_strand_map_exit_differential(monkeypatch):
     replay_calls = _count_calls(monkeypatch, "_replay")
     core_calls = _count_calls(monkeypatch, "_equal_cores")
     nf_calls = _count_calls(monkeypatch, "_rank_nf")
-    # pairs per (branch taken, verdict): the strand-map exit only says
-    # False, the reduced-braid exit only True; stage 3 decides the cores
-    # by their permutations or by their normal forms
+    # pairs per (branch taken, verdict): the strand-map and exponent-sum
+    # exits only say False, the reduced-braid exit only True; the last
+    # stage decides the cores by their permutations or by their normal forms
     seen = {
         ("strand map", False): 0,
         ("reduced braid", True): 0,
+        ("exponent sum", False): 0,
         ("cores", False): 0,
         ("cores", True): 0,
     }
@@ -574,19 +581,20 @@ def test_equal_nf_strand_map_exit_differential(monkeypatch):
             got = equal_nf(w1, w2)
             if not replay_calls:
                 branch = "strand map"
-            elif not core_calls:
-                branch = "reduced braid"
-            else:
+            elif core_calls:
                 branch = "cores"
-                exits[_stage3_exit(core_calls, nf_calls)] += 1
+                exits[_cores_exit(core_calls, nf_calls)] += 1
+            else:
+                branch = "reduced braid" if got else "exponent sum"
             assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
             same_map = position_tracking_map(w1) == position_tracking_map(w2)
             assert same_map == (branch != "strand map"), (str(w1), str(w2))
             if branch != "strand map":
-                same_reduced = _freely_reduced(
-                    evaluate_skeleton(w1).braid
-                ) == _freely_reduced(evaluate_skeleton(w2).braid)
-                assert same_reduced == (branch == "reduced braid"), (str(w1), str(w2))
+                r1, r2 = _reduced_ranks(w1), _reduced_ranks(w2)
+                assert (r1 == r2) == (branch == "reduced braid"), (str(w1), str(w2))
+                if r1 != r2:
+                    sums_differ = _signed_sum(r1) != _signed_sum(r2)
+                    assert sums_differ == (branch == "exponent sum"), (str(w1), str(w2))
             seen[branch, got] += 1
             if kind == 0:
                 assert got, (str(w1), str(w2))
@@ -603,7 +611,8 @@ def test_equal_nf_strand_map_exit_differential(monkeypatch):
                     assert got == expected, (str(w1), str(w2))
     print(
         f"equal_nf: {seen['strand map', False]} pairs unequal on strand maps, "
-        f"{seen['reduced braid', True]} equal on freely reduced braids; "
+        f"{seen['reduced braid', True]} equal on freely reduced braids, "
+        f"{seen['exponent sum', False]} unequal on exponent sums; "
         f"by cores {seen['cores', True]} equal and {seen['cores', False]} "
         f"unequal, decided by {exits}; action oracle checked "
         f"{oracle_checked}, {cap_hits} hit the letter cap"
@@ -718,15 +727,17 @@ def test_equal_nf_cancels_common_prefix_and_suffix(monkeypatch):
     # seeded: 1,320 pairs, n = 2..12, deletions in the contexts p and s:
     # p u s against p v s for relation sides and random u, v; p against
     # p v, s against v s, and powers p c^a s against p c^b s, where the
-    # common prefix and suffix scans could overlap
+    # common prefix and suffix scans could overlap.  Pairs whose reduced
+    # braids differ in exponent sum never reach the cores, so 240 more,
+    # n = 3..8, keep unequal cores of equal sum coming: p x y s against
+    # p y x s for pure braids x, y.
     rng = random.Random(0xC0E5)
+    replay_calls = _count_calls(monkeypatch, "_replay")
     core_calls = _count_calls(monkeypatch, "_equal_cores")
     nf_calls = _count_calls(monkeypatch, "_rank_nf")
     shapes = ["commutation", "braid relation", "square", "random",
               "prefix", "suffix", "power"]
-    seen = {(shape, verdict): 0 for shape in shapes for verdict in (False, True)}
-    exits = {"permutation": 0, "normal form": 0}
-    empty_cores = oracle_checked = cap_hits = 0
+    pairs = []
     for n in range(2, 13):
         for k in range(120):
             shape = shapes[k % len(shapes)]
@@ -746,48 +757,71 @@ def test_equal_nf_cancels_common_prefix_and_suffix(monkeypatch):
             else:
                 u, v = _sides(rng, n, shape)
                 a, b = p + u + s, p + v + s
-            w1, w2 = Word(n, tuple(a)), Word(n, tuple(b))
-            del core_calls[:], nf_calls[:]
-            got = equal_nf(w1, w2)
-            if core_calls:
-                exits[_stage3_exit(core_calls, nf_calls)] += 1
-            assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
-            if shape in ("commutation", "braid relation"):
-                assert got, (str(w1), str(w2))
-            if core_calls:
-                # the cores are one window of both reduced braids, with the
-                # same common prefix and suffix cut from each, and neither
-                # scan stopped early
-                _, c1, c2 = core_calls[0]
-                r1, r2 = _reduced_ranks(w1), _reduced_ranks(w2)
-                cut = len(r1) - len(c1)
-                assert cut == len(r2) - len(c2), (str(w1), str(w2))
-                assert any(
-                    r1[:i] == r2[:i]
-                    and r1[i : i + len(c1)] == c1
-                    and r2[i : i + len(c2)] == c2
-                    and r1[i + len(c1) :] == r2[i + len(c2) :]
-                    for i in range(cut + 1)
-                ), (str(w1), str(w2))
-                assert not c1 or not c2 or (c1[0] != c2[0] and c1[-1] != c2[-1])
-                empty_cores += not c1 or not c2
-                seen[shape, got] += 1
-            if n <= 5:
-                try:
-                    expected = equal_action(w1, w2, max_letters=20_000)
-                except ResourceLimitError:
-                    cap_hits += 1
-                else:
-                    oracle_checked += 1
-                    assert got == expected, (str(w1), str(w2))
+            pairs.append((shape, Word(n, tuple(a)), Word(n, tuple(b))))
+    shapes.append("pure swap")
+    rng = random.Random(0xC0E6)
+    for n in range(3, 9):
+        for _ in range(40):
+            share = rng.uniform(0.0, 0.3)
+            p = _word_with_deletions(rng, n, n, share)
+            s = _word_with_deletions(rng, n, n, share)
+            x, y = random_pure_braid(rng, n, n), random_pure_braid(rng, n, n)
+            pairs.append(("pure swap", p * x * y * s, p * y * x * s))
+    seen = {(shape, verdict): 0 for shape in shapes for verdict in (False, True)}
+    sum_exits = dict.fromkeys(shapes, 0)
+    exits = {"permutation": 0, "normal form": 0}
+    empty_cores = oracle_checked = cap_hits = 0
+    for shape, w1, w2 in pairs:
+        n = w1.n
+        del replay_calls[:], core_calls[:], nf_calls[:]
+        got = equal_nf(w1, w2)
+        same_map = bool(replay_calls)
+        if core_calls:
+            exits[_cores_exit(core_calls, nf_calls)] += 1
+        assert got == (canonical_form(w1) == canonical_form(w2)), (str(w1), str(w2))
+        if shape in ("commutation", "braid relation"):
+            assert got, (str(w1), str(w2))
+        if same_map:
+            r1, r2 = _reduced_ranks(w1), _reduced_ranks(w2)
+            sum_exit = r1 != r2 and _signed_sum(r1) != _signed_sum(r2)
+            assert sum_exit == (not got and not core_calls), (str(w1), str(w2))
+            sum_exits[shape] += sum_exit
+        if core_calls:
+            # the cores are one window of both reduced braids, with the
+            # same common prefix and suffix cut from each, and neither
+            # scan stopped early
+            _, c1, c2 = core_calls[0]
+            r1, r2 = _reduced_ranks(w1), _reduced_ranks(w2)
+            cut = len(r1) - len(c1)
+            assert cut == len(r2) - len(c2), (str(w1), str(w2))
+            assert any(
+                r1[:i] == r2[:i]
+                and r1[i : i + len(c1)] == c1
+                and r2[i : i + len(c2)] == c2
+                and r1[i + len(c1) :] == r2[i + len(c2) :]
+                for i in range(cut + 1)
+            ), (str(w1), str(w2))
+            assert not c1 or not c2 or (c1[0] != c2[0] and c1[-1] != c2[-1])
+            empty_cores += not c1 or not c2
+            seen[shape, got] += 1
+        if n <= 5:
+            try:
+                expected = equal_action(w1, w2, max_letters=20_000)
+            except ResourceLimitError:
+                cap_hits += 1
+            else:
+                oracle_checked += 1
+                assert got == expected, (str(w1), str(w2))
     print(
         f"equal_nf cores: per (shape, verdict) {seen}; decided by {exits}; "
+        f"per shape unequal on exponent sums {sum_exits}; "
         f"{empty_cores} with an empty core; action oracle checked "
         f"{oracle_checked}, {cap_hits} hit the letter cap"
     )
     for shape in shapes:
-        assert seen[shape, False] + seen[shape, True], shape
-    assert seen["braid relation", True] and seen["random", False], seen
+        assert seen[shape, False] + seen[shape, True] + sum_exits[shape], shape
+    assert seen["braid relation", True] and seen["pure swap", False], seen
+    assert sum_exits["square"] and sum_exits["random"], sum_exits
     assert empty_cores and oracle_checked and all(exits.values()), exits
 
 
@@ -813,17 +847,73 @@ def test_equal_nf_cancels_common_prefix_and_suffix(monkeypatch):
         (3, "e3 s1 s1", "e3", (1, 1), (), False, "normal form"),
         # mixed signs between the cores
         (2, "s1", "s1^-1", (1,), (-1,), False, "normal form"),
+        # unequal cores of equal exponent sum: the suffix scan stops where
+        # the prefix scan ended, a pure core repeats its crossings, and
+        # mixed signs over one permutation
+        (3, "s1 s1", "s1 s1 s2^-1 s2^-1 s1 s1", (), (-2, -2, 1, 1), False,
+         "normal form"),
+        (3, "s1 s1 s2^-1 s2^-1 s1 s1", "s1 s1", (-2, -2, 1, 1), (), False,
+         "normal form"),
+        (3, "s1 s1", "s2 s2", (1, 1), (2, 2), False, "normal form"),
+        (4, "e4 s2 s1 s2^-1", "e4 s1 s2 s1^-1", (2, 1, -2), (1, 2, -1), False,
+         "normal form"),
     ],
 )
 def test_equal_nf_normal_forms_see_only_the_cores(
     monkeypatch, n, a, b, core1, core2, verdict, exit
 ):
+    # core1 and core2 are what is left of the reduced braids once their
+    # common prefix and suffix are cut; when their exponent sums differ,
+    # equal_nf answers before it cuts them, and the cores, handed to the
+    # last stage, are decided the same way
+    replay_calls = _count_calls(monkeypatch, "_replay")
     core_calls = _count_calls(monkeypatch, "_equal_cores")
     nf_calls = _count_calls(monkeypatch, "_rank_nf")
     assert equal_nf(w(a, n), w(b, n)) is verdict
     k = len(evaluate_skeleton(w(a, n)).domain)
+    assert len(replay_calls) == 2
+    if _signed_sum(core1) != _signed_sum(core2):
+        assert core_calls == [] and nf_calls == [] and not verdict
+        assert garside._equal_cores(k, core1, core2) is verdict
     assert core_calls == [(k, core1, core2)]
-    assert _stage3_exit(core_calls, nf_calls) == exit
+    assert _cores_exit(core_calls, nf_calls) == exit
+
+
+def test_equal_nf_exponent_sum_exit_against_the_action(monkeypatch):
+    # seeded: 2,400 sign-flip pairs, n = 2..5 with deletions: w against w
+    # with one or two crossings inverted.  One flip of a crossing of two
+    # survivors moves the exponent sum by 2 and leaves the strand map; a
+    # crossing with a deleted strand is a move whichever its sign
+    rng = random.Random(0x5E11)
+    replay_calls = _count_calls(monkeypatch, "_replay")
+    core_calls = _count_calls(monkeypatch, "_equal_cores")
+    routes = {}
+    for n in range(2, 6):
+        for _ in range(600):
+            w1 = _word_with_deletions(rng, n, 4 * n, rng.uniform(0.0, 0.3))
+            crossings = [
+                q for q, x in enumerate(w1.letters) if x.kind != EPSILON
+            ]
+            letters = list(w1.letters)
+            for q in rng.sample(crossings, min(len(crossings), rng.randint(1, 2))):
+                flip = sigma_inv if letters[q].kind == SIGMA else sigma
+                letters[q] = flip(letters[q].index)
+            w2 = Word(n, tuple(letters))
+            del replay_calls[:], core_calls[:]
+            got = equal_nf(w1, w2)
+            assert len(replay_calls) == 2, (str(w1), str(w2))
+            if core_calls:
+                route = "cores"
+            else:
+                route = "reduced braid" if got else "exponent sum"
+            r1, r2 = _reduced_ranks(w1), _reduced_ranks(w2)
+            sums_differ = _signed_sum(r1) != _signed_sum(r2)
+            assert sums_differ == (route == "exponent sum"), (str(w1), str(w2))
+            assert got == equal_action(w1, w2, max_letters=20_000), (str(w1), str(w2))
+            routes[route, got] = routes.get((route, got), 0) + 1
+    print(f"sign-flip pairs per (route, verdict): {routes}")
+    assert routes.get(("exponent sum", False), 0) > 500, routes
+    assert routes.get(("reduced braid", True)) and routes.get(("cores", False)), routes
 
 
 def _permutation_braid_sides(rng, k):
@@ -888,7 +978,7 @@ def test_equal_cores_matches_normal_forms(monkeypatch, rng):
         route = _one_sign_permutation_braids(k, c1, c2)
         assert nf_calls == ([] if route else [(k, c1), (k, c2)]), (k, c1, c2)
         counts[shape, route, expected] = counts.get((shape, route, expected), 0) + 1
-    print(f"stage-3 cores per (shape, permutation exit, verdict): {counts}")
+    print(f"last-stage cores per (shape, permutation exit, verdict): {counts}")
     for key in [("relation", True, True), ("two permutations", True, False),
                 ("empty", True, False), ("repeated", False, False),
                 ("mixed", False, False)]:

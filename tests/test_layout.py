@@ -84,9 +84,9 @@ def test_strand_facts_live_in_diagram():
 
 def _python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter on this checkout's src/, reporting its imports
-    on stderr (-X importtime)."""
+    on stderr (-X importtime) and writing no bytecode into src/ (-B)."""
     return subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
+        [sys.executable, "-B", "-X", "importtime", *args],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin:/usr/local/bin"},

@@ -1,8 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import random_braid_word, random_word
+from conftest import (
+    position_tracking_map,
+    random_braid_word,
+    random_pure_braid,
+    random_word,
+)
+from partialbraid import monoidal
 from partialbraid.action import equal_action, tau
 from partialbraid.diagram import PartialInjection
 from partialbraid.garside import canonical_form, equal_nf, reconstruct_word
@@ -18,6 +25,7 @@ from partialbraid.garside import is_permutation_braid
 from partialbraid.words import (
     EPSILON,
     SIGMA,
+    SIGMA_INV,
     Letter,
     Word,
     braiding_word,
@@ -201,6 +209,80 @@ def test_is_central_agrees_with_action_oracle(rng):
     # welded words can only be compared through the action
     assert is_central(w("t1 t1", 3))
     assert not is_central(w("t1", 3))
+
+
+def _central_by_canonical_form(word):
+    """The canonical-form rule alone, with no invariant exit before it: an
+    empty domain, or a full one with no factors and an even half-twist
+    power."""
+    form = canonical_form(word)
+    return not form.domain or (
+        len(form.domain) == word.n and not form.nf.factors and form.nf.inf % 2 == 0
+    )
+
+
+def _central_word(rng, n):
+    """One of: a random word with deletions, a braid word, a pure braid,
+    or a conjugate u Delta^(2m) u^-1, that last one at times followed by
+    one deletion or by all of them."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return random_word(rng, n, 10)
+    if shape == 1:
+        return random_braid_word(rng, n, 10)
+    if shape == 2 or n == 0:
+        return random_pure_braid(rng, n, 8)
+    u = random_braid_word(rng, n, 6)
+    m = rng.randint(-2, 2)
+    twist = delta_word(n) ** (2 * abs(m))
+    if m < 0:
+        twist = mirror_inverse(twist)
+    word = u * twist * mirror_inverse(u)
+    tail = rng.random()
+    if tail < 0.2:
+        word = word * Word(n, (epsilon(rng.randint(1, n)),))
+    elif tail < 0.3:
+        word = word * Word(n, tuple(epsilon(i) for i in range(1, n + 1)))
+    return word
+
+
+def test_is_central_exits_agree_with_the_canonical_form_rule(monkeypatch):
+    # seeded: 20,400 words, n = 0..5 (see _central_word).  Only a word with
+    # a full domain, the identity strand map and an exponent sum a multiple
+    # of n(n-1) may build a canonical form; every answer is the rule's
+    rng = random.Random(0xCE17)
+    built = []
+    real = monoidal.canonical_form
+    monkeypatch.setattr(
+        monoidal, "canonical_form", lambda word: built.append(word) or real(word)
+    )
+    routes = {}
+    for case in range(20_400):
+        n = case % 6
+        word = _central_word(rng, n)
+        del built[:]
+        got = is_central(word)
+        assert got == _central_by_canonical_form(word), str(word)
+        ends = position_tracking_map(word)
+        total = sum(
+            (x.kind == SIGMA) - (x.kind == SIGMA_INV) for x in word.letters
+        )
+        if len(ends) < n:
+            route = "partial"
+        elif any(start != end for start, end in ends.items()):
+            route = "strand map"
+        elif n >= 2 and total % (n * (n - 1)):
+            route = "exponent sum"
+        else:
+            route = "canonical form"
+        assert built == ([word] if route == "canonical form" else []), str(word)
+        routes[route, got] = routes.get((route, got), 0) + 1
+    print(f"is_central words per (route, verdict): {routes}")
+    assert set(routes) == {
+        ("partial", False), ("partial", True), ("strand map", False),
+        ("exponent sum", False), ("canonical form", False),
+        ("canonical form", True),
+    }, routes
 
 
 def test_is_central_tries_sigmas_and_epsilons_only():
