@@ -207,7 +207,7 @@ def _fingerprint(w: Word, matrices: tuple[Matrix, ...]) -> tuple[Matrix | None, 
     the positions left empty by the whole word to the identity, and every
     letter map keeps an empty position's matrix the identity.
     """
-    occupant = diagram._occupants(w, welded=True)
+    occupant = diagram._occupants(w)
     rho = [_ONE if s is None else m for s, m in zip(occupant, matrices)]
     for letter in reversed(w.letters):
         kind = letter.kind

@@ -190,8 +190,8 @@ def _cmd_eval(args) -> int:
 
 
 # The default engine of a suite, where it is not "garside" (which hands
-# welded words to the action): sym-inverse only holds after projecting to
-# partial injections.
+# welded pairs with equal strand maps to the action): sym-inverse only
+# holds after projecting to partial injections.
 _SUITE_ENGINES = {"sym-inverse": "injection"}
 
 

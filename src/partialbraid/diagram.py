@@ -106,19 +106,16 @@ def compose_injection(p: PartialInjection, q: PartialInjection) -> PartialInject
     return PartialInjection(p.n, mapping)
 
 
-def _occupants(w: Word, welded: bool = False) -> list[int | None]:
+def _occupants(w: Word) -> list[int | None]:
     """First pass: the start strand ending at each position, None where
     the position ends empty.  Equal lists mean equal partial injections.
-    A welded swap moves positions like a crossing only when welded is set,
-    for the fingerprint; skeletons are not defined for it."""
+    Every word has one: a crossing and a welded swap alike exchange the
+    occupants of their two positions."""
     occupant: list[int | None] = list(range(1, w.n + 1))
     for letter in w.letters:
-        kind = letter.kind
         p = letter.index - 1
-        if kind == EPSILON:
+        if letter.kind == EPSILON:
             occupant[p] = None
-        elif kind == XI and not welded:
-            raise ValueError("skeletons are not defined for xi letters")
         else:
             occupant[p], occupant[p + 1] = occupant[p + 1], occupant[p]
     return occupant
@@ -142,6 +139,7 @@ def _replay(w: Word, occupant: list[int | None]) -> list[int]:
     placed, so a crossing with a strand deleted later is a plain move, and
     a crossing of two survivors gets its rank from above[p], the number of
     survivors at positions before p, negated for an inverse crossing.
+    A welded swap raises wherever it stands: it has no survivor braid.
     """
     n = w.n
     live = [False] * n
@@ -156,6 +154,8 @@ def _replay(w: Word, occupant: list[int | None]) -> list[int]:
         kind = letter.kind
         if kind == EPSILON:
             continue
+        if kind == XI:
+            raise ValueError("skeletons are not defined for xi letters")
         p = letter.index - 1
         a, b = live[p], live[p + 1]
         if a and b:
@@ -177,7 +177,7 @@ def evaluate_skeleton(w: Word) -> Skeleton:
     position to find the survivors and where each one ends, from which
     _strand_map reads the strand map, and _replay replays the word with
     only the survivors placed to read off the underlying braid.  Raises
-    ValueError on welded (xi) letters.
+    ValueError on welded (xi) letters, from the second pass.
     """
     occupant = _occupants(w)
     mapping, domain, codomain = _strand_map(occupant)

@@ -285,7 +285,7 @@ def equal_nf(w1: Word, w2: Word) -> bool:
 
     1. Equal elements induce the same partial injection, which also fixes
        domain and codomain: differing strand maps answer False before
-       either survivor braid is built.
+       either survivor braid is built, for welded words too.
     2. The braid group is a quotient of the free group on the crossings,
        so survivor braids that freely reduce to the same word answer True.
     3. The exponent sum, a homomorphism B_k -> Z, survives free reduction:
@@ -295,8 +295,8 @@ def equal_nf(w1: Word, w2: Word) -> bool:
        remaining cores decide (_equal_cores): the survivor braids lie in
        the group B_k, where p u s = p v s exactly when u = v.
 
-    Raises ValueError on a strand-count mismatch, then on xi letters in
-    either word.
+    Raises ValueError on a strand-count mismatch, then, when the strand
+    maps agree, on xi letters in either word.
     """
     if w1.n != w2.n:
         raise ValueError(f"strand-count mismatch: {w1.n} vs {w2.n}")
@@ -321,7 +321,7 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     return _equal_cores(k, r1[i : len(r1) - j], r2[i : len(r2) - j])
 
 
-def _exponent_sum(ranks: tuple[int, ...]) -> int:
+def _exponent_sum(ranks: list[int] | tuple[int, ...]) -> int:
     """Crossings minus inverse crossings of a signed-rank braid."""
     return len(ranks) - 2 * sum(r < 0 for r in ranks)
 

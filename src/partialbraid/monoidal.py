@@ -6,16 +6,14 @@ one block over the other, and conjugation by it swaps paired factors.
 Every element also factors as an idempotent (the deletions) times an
 honest braid, which is what the decomposition here computes.  Every
 predicate that compares two words asks the one equality, _equal, which
-picks the engine: normal forms, or the action for welded words.
+picks the engine: equal_nf, or the action for the welded pairs it refuses.
 """
 
 from __future__ import annotations
 
-from .diagram import (
-    PartialInjection, _occupants, abelian_invariant, evaluate_skeleton
-)
+from .diagram import PartialInjection, _occupants, _replay, evaluate_skeleton
 from .freegroup import MAX_LETTERS, ResourceLimitError
-from .garside import _deletions_and_spread, canonical_form, equal_nf
+from .garside import _deletions_and_spread, _exponent_sum, _rank_nf, equal_nf
 from .words import (
     XI,
     Word,
@@ -35,9 +33,9 @@ def mu(a: Word, b: Word) -> Word:
 
 
 def _equal(w1: Word, w2: Word, max_letters: int = MAX_LETTERS) -> bool:
-    """Monoid equality through normal forms.  The welded words they refuse
-    go to the action, under max_letters; any other refusal is raised.  Only
-    that branch loads the action."""
+    """Monoid equality: equal_nf answers any pair whose strand maps differ,
+    the welded pairs it refuses go to the action, under max_letters, and
+    any other refusal is raised.  Only that branch loads the action."""
     try:
         return equal_nf(w1, w2)
     except ValueError:
@@ -92,26 +90,28 @@ def positive_lift(p: PartialInjection) -> Word:
 def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
     """Does w commute with every sigma_i and epsilon_i?
 
-    The centre of IB_n is the even powers of the half-twist together with
-    the empty braid.  Without welded letters, invariants answer first: a
-    word deleting a strand is central only when it deletes all of them,
-    and one keeping them all only when it is pure with an exponent sum a
-    multiple of n(n-1), that of the half-twist squared; only then is the
-    canonical form built, and no factors (a pure half-twist power is an
-    even one) means central.  Welded words are decided by the definition,
-    on the action engine under max_letters; the swaps t_i are not tried.
+    The strand map answers first, for every word: a central element's
+    commutes with each transposition and partial identity, so it deletes
+    no strand or all of them, and moves none.  Welded words left are
+    decided by the definition, on the action engine under max_letters;
+    the swaps t_i are not tried.  The centre of IB_n is the even powers
+    of the half-twist and the empty braid, so one replay of a pure braid
+    word decides: its exponent sum must be a multiple of n(n-1), that of
+    the half-twist squared, and its normal form must have no factors (a
+    pure half-twist power is an even one).
     """
-    if XI in w.kinds():
-        return _commutes_with_generators(w, max_letters)
     n = w.n
     occupant = _occupants(w)
     if None in occupant:
         return occupant.count(None) == n
     if occupant != list(range(1, n + 1)):
         return False
-    if n >= 2 and abelian_invariant(w).exponent_sum % (n * (n - 1)):
+    if XI in w.kinds():
+        return _commutes_with_generators(w, max_letters)
+    ranks = _replay(w, occupant)
+    if n >= 2 and _exponent_sum(ranks) % (n * (n - 1)):
         return False
-    return not canonical_form(w).nf.factors
+    return not _rank_nf(n, ranks).factors
 
 
 def _commutes_with_generators(w: Word, max_letters: int = MAX_LETTERS) -> bool:

@@ -1,3 +1,4 @@
+import sys; sys.dont_write_bytecode = True  # keep src/ free of __pycache__
 import random
 
 import pytest

@@ -230,7 +230,35 @@ def cases() -> list[dict]:
         cap = rng.choice(("1", "50"))
         add(["makanin", "-n", str(n), "--max-letters", cap, word])
         add(["imakanin", "-n", str(n), "--max-letters", cap, str(rng.randint(1, n)), word])
+    # welded central, eq and imakanin with deletions under caps 1 and 4,
+    # from a seed of their own: the strand maps answer most of them, and
+    # the rest (maps that agree, as across an inserted t_i t_i) reach the
+    # action and its cap
+    rng = random.Random(SEED + 2)
+    for n in range(2, 6):
+        for cap in ("1", "4"):
+            for _ in range(4):
+                word = _word(rng, n, 10, welded=True)
+                if rng.random() < 0.5:
+                    word = _swaps_inserted(rng, n, word)
+                add(["central", "-n", str(n), "--max-letters", cap, word])
+                w1 = _word(rng, n, 8, welded=True)
+                if rng.random() < 0.5:
+                    w2 = _swaps_inserted(rng, n, w1)
+                else:
+                    w2 = _word(rng, n, 8, welded=True)
+                add(["eq", "-n", str(n), "--max-letters", cap, w1, w2])
+                word = _word(rng, n, 10, welded=True)
+                argv = ["imakanin", "-n", str(n), "--max-letters", cap]
+                add(argv + [str(rng.randint(1, n)), word])
     return out
+
+
+def _swaps_inserted(rng: random.Random, n: int, text: str) -> str:
+    """text with t_i t_i inserted somewhere."""
+    tokens = text.split()
+    i, pos = rng.randint(1, n - 1), rng.randint(0, len(tokens))
+    return " ".join(tokens[:pos] + [f"t{i}", f"t{i}"] + tokens[pos:])
 
 
 def invoke(case: dict) -> dict:

@@ -230,7 +230,7 @@ def test_tau_matches_the_welded_strand_tracker(rng):
     for _ in range(3000):
         n = rng.randint(1, 7)
         word = random_word(rng, n, 30, with_xi=True)
-        tracked = PartialInjection(n, tuple(_occupants(word, welded=True)))
+        tracked = PartialInjection(n, tuple(_occupants(word)))
         assert tau(word, max_letters=10 ** 5) == tracked.inverse(), str(word)
         deleted += not tracked.is_total()
     assert 0 < deleted < 3000

@@ -13,11 +13,12 @@ from partialbraid.action import equal_action, evaluate
 from partialbraid.diagram import (
     Skeleton,
     _occupants,
+    _replay,
     _strand_map,
     delete_strand,
     evaluate_skeleton,
 )
-from partialbraid.garside import word_to_perm
+from partialbraid.garside import canonical_form, word_to_perm
 from partialbraid.monoidal import is_i_makanin, is_makanin
 from partialbraid.words import (
     EPSILON,
@@ -82,16 +83,33 @@ def test_welded_tracker_matches_position_tracking():
     for n in range(1, 9):
         for _ in range(300):
             word = random_word(rng, n, 3 * n, with_xi=True)
-            occupant = _occupants(word, welded=True)
+            occupant = _occupants(word)
             ends = {s: p for p, s in enumerate(occupant, 1) if s is not None}
             assert ends == position_tracking_map(word), str(word)
 
 
 def test_strand_path_refuses_welded_swaps():
-    for text in ("t1", "s1 t2", "e1 t1", "e3 s1 t2 e1"):
-        with pytest.raises(ValueError) as caught:
-            _occupants(w(text, 3))
-        assert str(caught.value) == "skeletons are not defined for xi letters"
+    # the tracker follows a swap on any positions; the survivor pass, and
+    # so skeletons and canonical forms, refuse it even where it moves one
+    # survivor (e1 t1, e3 s1 t2 e1) or none (e1 e2 t1)
+    for text, ends in [
+        ("t1", [2, 1, 3]),
+        ("s1 t2", [2, 3, 1]),
+        ("e1 t1", [2, None, 3]),
+        ("e3 s1 t2 e1", [None, None, 1]),
+        ("e1 e2 t1", [None, None, 3]),
+    ]:
+        word = w(text, 3)
+        occupant = _occupants(word)
+        assert occupant == ends, text
+        for refuse in (
+            lambda: _replay(word, occupant),
+            lambda: evaluate_skeleton(word),
+            lambda: canonical_form(word),
+        ):
+            with pytest.raises(ValueError) as caught:
+                refuse()
+            assert str(caught.value) == "skeletons are not defined for xi letters"
 
 
 def _inverted_occupants(occupant):
@@ -353,8 +371,7 @@ def test_welded_makanin_on_swaps_and_deletions():
             word = Word(n, letters)
             for i in range(1, n + 1):
                 e_i = Word(n, (epsilon(i),))
-                tracked = _occupants(e_i * word, welded=True)
-                expected = tracked == _occupants(e_i, welded=True)
+                expected = _occupants(e_i * word) == _occupants(e_i)
                 assert is_i_makanin(word, i) == expected, (str(word), i)
                 cases += 1
                 true += expected

@@ -33,6 +33,7 @@ from partialbraid.monoidal import positive_lift
 from partialbraid.words import (
     EPSILON,
     SIGMA,
+    XI,
     Word,
     delta_word,
     epsilon,
@@ -41,6 +42,7 @@ from partialbraid.words import (
     relation_suite,
     sigma,
     sigma_inv,
+    xi,
 )
 
 
@@ -627,20 +629,58 @@ def test_equal_nf_error_order():
         equal_nf(w("t1", 2), w("s1 t2", 3))
     with pytest.raises(ValueError, match=r"^strand-count mismatch: 3 vs 2$"):
         equal_nf(w("e1", 3), w("t1", 2))
-    # a welded letter in either word raises, even when the strand maps
-    # already differ on the deletions of the other word
+    # welded words have strand maps: where they differ the answer is False,
+    # and only where they agree does a welded letter in either word raise,
+    # even when it moves one survivor (e1 t1) or none (e1 e2 t1)
+    for a, b in [("e1", "t1"), ("t1", "e1"), ("e1 e2", "s1 t2"), ("t1", "t2")]:
+        assert not equal_nf(w(a, 3), w(b, 3)), (a, b)
     for a, b in [
         ("t1", "s1"),
         ("s1", "t1"),
-        ("e1", "t1"),
-        ("t1", "e1"),
-        ("e1 e2", "s1 t2"),
         ("t1 t1", ""),
+        ("e1 t1", "e1 s1"),
+        ("e1 e2", "e1 e2 t1"),
     ]:
         with pytest.raises(
             ValueError, match=r"^skeletons are not defined for xi letters$"
         ):
             equal_nf(w(a, 3), w(b, 3))
+
+
+def test_equal_nf_welded_pairs_against_the_action():
+    # seeded: 6,000 pairs with a t letter in at least one word, n = 2..5
+    # (one strand has no swap), up to 10 letters with crossings, deletions
+    # and swaps; half are independent words, half a word against itself
+    # with t_i t_i or s_i s_i^-1 inserted.  equal_nf answers exactly the
+    # pairs whose strand maps differ, always False, as the action does;
+    # the rest raise its refusal
+    rng = random.Random(0x3E1D)
+    exits = refused = 0
+    for case in range(6000):
+        n = case % 4 + 2
+        while True:
+            w1 = random_word(rng, n, 10, with_xi=True)
+            if case % 2:
+                w2 = random_word(rng, n, 10, with_xi=True)
+            else:
+                i = rng.randint(1, n - 1)
+                pair = rng.choice([(xi(i), xi(i)), (sigma(i), sigma_inv(i))])
+                cut = rng.randint(0, len(w1))
+                w2 = Word(n, w1.letters[:cut] + pair + w1.letters[cut:])
+            if XI in w1.kinds() | w2.kinds():
+                break
+        if position_tracking_map(w1) != position_tracking_map(w2):
+            assert equal_nf(w1, w2) is False, (str(w1), str(w2))
+            assert not equal_action(w1, w2), (str(w1), str(w2))
+            exits += 1
+        else:
+            with pytest.raises(
+                ValueError, match=r"^skeletons are not defined for xi letters$"
+            ):
+                equal_nf(w1, w2)
+            refused += 1
+    print(f"welded pairs: {exits} strand-map exits, {refused} refused")
+    assert exits + refused == 6000 and exits > 2000 and refused > 2000
 
 
 @st.composite

@@ -117,6 +117,15 @@ def test_strand_path_leaves_the_action_unloaded():
     assert not _loads_action(proc)
 
 
+def test_welded_words_with_different_strand_maps_leave_the_action_unloaded():
+    # t1 and t2 move different strands, and e1 t1 ends strand 2 where e1
+    # leaves it in place, so the strand maps answer both
+    for argv in (["eq", "-n", "3", "t1", "t2"], ["imakanin", "-n", "2", "1", "t1"]):
+        proc = _python("-m", "partialbraid", *argv)
+        assert (proc.returncode, proc.stdout) == (1, "false\n"), argv
+        assert not _loads_action(proc), argv
+
+
 def test_welded_words_and_the_action_engine_load_the_action():
     for argv in (
         ["eq", "-n", "2", "t1 t1", "t1 t1"],

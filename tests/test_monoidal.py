@@ -26,6 +26,7 @@ from partialbraid.words import (
     EPSILON,
     SIGMA,
     SIGMA_INV,
+    XI,
     Letter,
     Word,
     braiding_word,
@@ -34,6 +35,7 @@ from partialbraid.words import (
     mirror_inverse,
     parse_word,
     sigma,
+    xi,
 )
 
 
@@ -206,7 +208,8 @@ def test_is_central_agrees_with_action_oracle(rng):
         assert is_central(word) == expected, str(word)
         verdicts.add(expected)
     assert verdicts == {True, False}
-    # welded words can only be compared through the action
+    # welded words: t1 t1 keeps every strand in place and goes to the
+    # action; t1 moves two strands, which its strand map answers
     assert is_central(w("t1 t1", 3))
     assert not is_central(w("t1", 3))
 
@@ -249,12 +252,12 @@ def _central_word(rng, n):
 def test_is_central_exits_agree_with_the_canonical_form_rule(monkeypatch):
     # seeded: 20,400 words, n = 0..5 (see _central_word).  Only a word with
     # a full domain, the identity strand map and an exponent sum a multiple
-    # of n(n-1) may build a canonical form; every answer is the rule's
+    # of n(n-1) may build a normal form; every answer is the rule's
     rng = random.Random(0xCE17)
     built = []
-    real = monoidal.canonical_form
+    real = monoidal._rank_nf
     monkeypatch.setattr(
-        monoidal, "canonical_form", lambda word: built.append(word) or real(word)
+        monoidal, "_rank_nf", lambda k, ranks: built.append(k) or real(k, ranks)
     )
     routes = {}
     for case in range(20_400):
@@ -275,13 +278,76 @@ def test_is_central_exits_agree_with_the_canonical_form_rule(monkeypatch):
             route = "exponent sum"
         else:
             route = "canonical form"
-        assert built == ([word] if route == "canonical form" else []), str(word)
+        assert built == ([n] if route == "canonical form" else []), str(word)
         routes[route, got] = routes.get((route, got), 0) + 1
     print(f"is_central words per (route, verdict): {routes}")
     assert set(routes) == {
         ("partial", False), ("partial", True), ("strand map", False),
         ("exponent sum", False), ("canonical form", False),
         ("canonical form", True),
+    }, routes
+
+
+def _welded_central_word(rng, n):
+    """A word with a t letter: random, with deletions at times; or a
+    crossing-and-swap word followed by the swaps that put every strand
+    back, at times followed by one deletion or by all of them."""
+    while True:
+        shape = rng.randrange(3)
+        if shape == 0:
+            word = random_word(rng, n, 10, with_xi=True)
+        else:
+            occupant = list(range(1, n + 1))
+            letters = list(random_word(rng, n, 10, with_xi=True, no_epsilon=True))
+            for x in letters:
+                i = x.index - 1
+                occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
+            # bubble sort by swaps, so the strand map becomes the identity
+            for top in range(n - 1, 0, -1):
+                for i in range(top):
+                    if occupant[i] > occupant[i + 1]:
+                        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
+                        letters.append(xi(i + 1))
+            if shape == 2:
+                tail = rng.sample(range(1, n + 1), rng.choice((1, n)))
+                letters += [epsilon(i) for i in tail]
+            word = Word(n, tuple(letters))
+        if XI in word.kinds():
+            return word
+
+
+def test_is_central_on_welded_words_against_the_definition(monkeypatch):
+    # seeded: 6,000 words with a t letter, n = 2..5 (see
+    # _welded_central_word).  Every answer is the definition's, and only a
+    # word that keeps every strand in place reaches the definition
+    rng = random.Random(0x7E1C)
+    definition = monoidal._commutes_with_generators
+    reached = []
+    monkeypatch.setattr(
+        monoidal,
+        "_commutes_with_generators",
+        lambda word, max_letters: reached.append(word) or definition(word, max_letters),
+    )
+    routes = {}
+    for case in range(6000):
+        n = case % 4 + 2
+        word = _welded_central_word(rng, n)
+        del reached[:]
+        got = is_central(word)
+        assert got == definition(word), str(word)
+        ends = position_tracking_map(word)
+        if len(ends) < n:
+            route = "partial"
+        elif any(start != end for start, end in ends.items()):
+            route = "strand map"
+        else:
+            route = "definition"
+        assert reached == ([word] if route == "definition" else []), str(word)
+        routes[route, got] = routes.get((route, got), 0) + 1
+    print(f"welded is_central words per (route, verdict): {routes}")
+    assert set(routes) == {
+        ("partial", False), ("partial", True), ("strand map", False),
+        ("definition", False), ("definition", True),
     }, routes
 
 
