@@ -216,14 +216,17 @@ class AbelianClass(_Frozen):
 
 
 def abelian_invariant(w: Word) -> AbelianClass:
-    """Commutative-quotient invariant of a word without welded letters."""
+    """Commutative-quotient invariant of a word with an e letter or no t.
+
+    Crossings and swaps only move strands, so a word deletes a strand
+    exactly when it has an e letter; a deletion absorbs swaps as it absorbs
+    crossings (ibp-mixed's eps-xi slide and pair relations, with e e = e).
+    """
     kinds = w.kinds()
-    if XI in kinds:
-        raise ValueError("abelian invariant is not defined for xi letters")
-    # crossings only permute strands, so the first deletion always finds a
-    # live strand: a word deletes a strand exactly when it has an e letter
     if EPSILON in kinds:
         return AbelianClass(EPSILON_CLASS)
+    if XI in kinds:
+        raise ValueError("abelian invariant is not defined for xi letters")
     total = sum(1 for letter in w.letters if letter.kind == SIGMA) - sum(
         1 for letter in w.letters if letter.kind == SIGMA_INV
     )

@@ -260,6 +260,10 @@ class CanonicalForm(_Frozen):
     __slots__ = ("n", "domain", "codomain", "nf")
 
     def __init__(self, n: int, domain: tuple, codomain: tuple, nf: GarsideNF):
+        if len(domain) != len(codomain):
+            raise ValueError("domain and codomain sizes differ")
+        if nf.k != len(domain):
+            raise ValueError("normal form has the wrong strand count")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)

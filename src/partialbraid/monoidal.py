@@ -3,27 +3,18 @@ the element predicates (centre, Makanin tests).
 
 The pairing places two partial braids side by side; the braiding carries
 one block over the other, and conjugation by it swaps paired factors.
-Every element also factors as an idempotent (the deletions) times an
-honest braid, which is what the decomposition here computes.  Every
+Every element also factors as an idempotent (the deletions) times a word
+without deletions, which is what the decomposition here computes.  Every
 predicate that compares two words asks the one equality, _equal, which
 picks the engine: equal_nf, or the action for the welded pairs it refuses.
 """
 
 from __future__ import annotations
 
-from .diagram import PartialInjection, _occupants, _replay, evaluate_skeleton
+from .diagram import PartialInjection, _occupants, _replay
 from .freegroup import MAX_LETTERS, ResourceLimitError
 from .garside import _deletions_and_spread, _exponent_sum, _rank_nf, equal_nf
-from .words import (
-    XI,
-    Word,
-    braiding_word,
-    domain_prefix_letters,
-    epsilon,
-    mirror_inverse,
-    shift_word,
-    sigma,
-)
+from .words import EPSILON, XI, Word, braiding_word, epsilon, shift_word, sigma
 
 
 def mu(a: Word, b: Word) -> Word:
@@ -57,22 +48,16 @@ def check_naturality(bm: Word, bn: Word) -> bool:
 
 
 def factorize(w: Word) -> tuple[Word, Word]:
-    """Split w as (idempotent, full braid) with the same action.
+    """Split w as (e_D, w') with e_D w' = w, welded words included.
 
-    The idempotent deletes exactly the strands w deletes.  The braid part
-    conjugates the underlying braid onto the surviving start positions,
-    then spreads sorted starts to sorted ends by a positive permutation
-    braid whose extension fills the deleted positions in ascending order.
+    e_D deletes D, the start strands w deletes, in ascending order, and w'
+    is w without its e letters: once D is gone every e letter of w meets
+    an empty position.  w' keeps every strand, and its crossings with D.
     """
-    skel = evaluate_skeleton(w)
-    n = w.n
-    deletions, spread = _deletions_and_spread(dict(zip(skel.domain, skel.codomain)), n)
-    embedded: tuple = ()
-    if skel.braid.letters:
-        prefix = Word(n, domain_prefix_letters(skel.domain))
-        gathered = prefix * Word(n, skel.braid.letters) * mirror_inverse(prefix)
-        embedded = gathered.letters
-    return Word(n, deletions), Word(n, embedded + spread)
+    kept = set(_occupants(w))
+    deletions = tuple(epsilon(i) for i in range(1, w.n + 1) if i not in kept)
+    braid = tuple(letter for letter in w.letters if letter.kind != EPSILON)
+    return Word(w.n, deletions), Word(w.n, braid)
 
 
 def positive_lift(p: PartialInjection) -> Word:
@@ -91,14 +76,14 @@ def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
     """Does w commute with every sigma_i and epsilon_i?
 
     The strand map answers first, for every word: a central element's
-    commutes with each transposition and partial identity, so it deletes
-    no strand or all of them, and moves none.  Welded words left are
-    decided by the definition, on the action engine under max_letters;
-    the swaps t_i are not tried.  The centre of IB_n is the even powers
-    of the half-twist and the empty braid, so one replay of a pure braid
-    word decides: its exponent sum must be a multiple of n(n-1), that of
-    the half-twist squared, and its normal form must have no factors (a
-    pure half-twist power is an even one).
+    strand map commutes with each transposition and partial identity, so
+    it deletes no strand or all of them, and moves none.  Welded words
+    left are decided by the definition, on the action engine under
+    max_letters; the swaps t_i are not tried.  The centre of IB_n is the
+    even powers of the half-twist and the empty braid, so one replay of a
+    pure braid word decides: its exponent sum must be a multiple of
+    n(n-1), that of the half-twist squared, and its normal form must have
+    no factors (a pure half-twist power is an even one).
     """
     n = w.n
     occupant = _occupants(w)

@@ -236,12 +236,8 @@ def mirror_inverse(w: Word) -> Word:
 
     This is the vertical flip of the diagram: the unique monoid inverse m
     of w, satisfying w m w = w and m w m = m.  Deletion letters are fixed
-    (idempotents are self-inverse) and so are welded swaps; words mixing
-    epsilon and xi letters are rejected.
+    (idempotents are self-inverse) and so are welded swaps.
     """
-    kinds = w.kinds()
-    if EPSILON in kinds and XI in kinds:
-        raise ValueError("mirror inverse of a word mixing epsilon and xi letters")
     letters = tuple(
         Letter(_MIRROR.get(letter.kind, letter.kind), letter.index)
         for letter in reversed(w.letters)

@@ -275,6 +275,31 @@ MUTANTS = [
         ["tests/test_diagram.py::test_makanin_domain_restrictions"],
     ),
     (
+        "factorize keeps the e letters in the braid part",
+        "monoidal.py",
+        "    braid = tuple(letter for letter in w.letters if letter.kind != EPSILON)\n",
+        "    braid = w.letters\n",
+        ["tests/test_monoidal.py::test_factorize_examples"],
+    ),
+    (
+        "factorize deletes the strands the word keeps",
+        "monoidal.py",
+        "for i in range(1, w.n + 1) if i not in kept)",
+        "for i in range(1, w.n + 1) if i in kept)",
+        ["tests/test_monoidal.py::test_factorize_examples"],
+    ),
+    (
+        "abelian checks t before e",
+        "diagram.py",
+        "    if EPSILON in kinds:\n        return AbelianClass(EPSILON_CLASS)\n"
+        "    if XI in kinds:\n"
+        "        raise ValueError(\"abelian invariant is not defined for xi letters\")\n",
+        "    if XI in kinds:\n"
+        "        raise ValueError(\"abelian invariant is not defined for xi letters\")\n"
+        "    if EPSILON in kinds:\n        return AbelianClass(EPSILON_CLASS)\n",
+        ["tests/test_action.py::test_abelian_invariant_examples"],
+    ),
+    (
         "word_to_perm drops invert_perm",
         "garside.py",
         "    return invert_perm(tuple(s - 1 for s in _occupants(_positive_word(w, k))))\n",

@@ -22,6 +22,8 @@ from partialbraid.diagram import (
     compose_injection,
 )
 from partialbraid.words import (
+    EPSILON,
+    XI,
     Word,
     delta_word,
     epsilon,
@@ -270,7 +272,10 @@ def test_abelian_invariant_examples():
     assert abelian_invariant(w("s1 s2^-1 s1", 3)) == AbelianClass("group", 1)
     assert abelian_invariant(w("e1 s1 s1", 2)) == abelian_invariant(w("e1", 2))
     assert abelian_invariant(Word(4)) == AbelianClass("group", 0)
-    with pytest.raises(ValueError):
+    # a deletion absorbs welded swaps as it absorbs crossings
+    assert abelian_invariant(w("e1 t1", 2)) == AbelianClass("epsilon")
+    assert abelian_invariant(w("t2 s1 e3 t1", 3)) == AbelianClass("epsilon")
+    with pytest.raises(ValueError, match="^abelian invariant is not defined for xi"):
         abelian_invariant(w("t1", 2))
 
 
@@ -279,6 +284,14 @@ def test_abelian_invariant_constant_on_suites(rng):
         for n in (2, 3, 4):
             for rel in relation_suite(suite_id, n):
                 assert abelian_invariant(rel.left) == abelian_invariant(rel.right)
+    # the welded relations with a deletion on both sides, eps-xi's among them
+    checked = 0
+    for n in (2, 3, 4):
+        for rel in relation_suite("ibp-mixed", n):
+            if EPSILON in rel.left.kinds() and EPSILON in rel.right.kinds():
+                assert abelian_invariant(rel.left) == abelian_invariant(rel.right)
+                checked += XI in rel.left.kinds()
+    assert checked > 0
 
 
 def test_delta_commutes_with_deletions():
@@ -325,6 +338,18 @@ def test_mirror_inverts_welded_words(rng):
         mirror = W.mirror_inverse(word)
         assert evaluate(word * mirror) == PartialEndo.identity(word.n)
         assert equal_action(word * mirror * word, word)
+
+
+def test_mirror_inverts_words_mixing_deletions_and_swaps(rng):
+    mixed = 0
+    while mixed < 2_000:
+        word = random_word(rng, rng.randint(2, 5), 12, with_xi=True)
+        if not {EPSILON, XI} <= word.kinds():
+            continue
+        mirror = W.mirror_inverse(word)
+        assert equal_action(word * mirror * word, word), str(word)
+        assert equal_action(mirror * word * mirror, mirror), str(word)
+        mixed += 1
 
 
 def test_resource_limit_surfaces():

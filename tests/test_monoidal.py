@@ -95,6 +95,10 @@ def test_factorize_examples():
         ("e1", 2, ("e1", "")),
         ("e1 s1", 2, ("e1", "s1")),
         ("s1 e1", 2, ("e2", "s1")),
+        # crossings with a deleted strand stay in the braid part
+        ("e1 e2 s1^-1 s1", 2, ("e1 e2", "s1^-1 s1")),
+        ("t1 e1", 2, ("e2", "t1")),
+        ("s1 t2 s2^-1", 3, ("", "s1 t2 s2^-1")),
     ]:
         idempotent, braid_part = factorize(w(text, n))
         assert (str(idempotent), str(braid_part)) == expected
@@ -106,24 +110,20 @@ def test_printed_words_with_several_deletions():
     # the deleted positions in ascending order
     for text, n, idempotent, braid_part, lift, rebuilt in [
         (
-            "e1 e2 s3", 4, "e1 e2",
-            "s2 s1 s3 s2 s1 s2^-1 s3^-1 s1^-1 s2^-1", "e1 e2 s3",
+            "e1 e2 s3", 4, "e1 e2", "s3", "e1 e2 s3",
             "s2 s1 s3 s2 e3 e4 s1 e3 e4 s2 s3 s1 s2",
         ),
         (
-            "e2 e4 s1 s2^-1 s3", 5, "e2 e4",
-            "s2 s4 s3 s1^-1 s3^-1 s4^-1 s2^-1 s3 s1", "e2 e4 s1 s2 s3",
+            "e2 e4 s1 s2^-1 s3", 5, "e2 e4", "s1 s2^-1 s3", "e2 e4 s1 s2 s3",
             "s2 s4 s3 e4 e5 s1^-1 s2^-1 s1^-1 s1 s2 e4 e5 s3 s4 s2 s3 s1",
         ),
         ("s1 e1 e3", 3, "e2 e3", "s1", "e2 e3 s1", "e2 e3 e2 e3 s1"),
         (
-            "s3 s2 s1 e2 e3", 4, "e1 e2",
-            "s2 s1 s3 s2 s1 s2^-1 s3^-1 s1^-1 s2^-1 s2 s1", "e1 e2 s3 s2 s1",
+            "s3 s2 s1 e2 e3", 4, "e1 e2", "s3 s2 s1", "e1 e2 s3 s2 s1",
             "s2 s1 s3 s2 e3 e4 s1 e3 e4 s2 s3",
         ),
         (
-            "e1 s2 e4 s1 s3^-1", 4, "e1 e4",
-            "s1 s2 s1 s2^-1 s1^-1 s3 s1", "e1 e4 s2 s3 s1",
+            "e1 s2 e4 s1 s3^-1", 4, "e1 e4", "s2 s1 s3^-1", "e1 e4 s2 s3 s1",
             "s1 s2 e3 e4 s1 e3 e4 s2 s3",
         ),
     ]:
@@ -156,17 +156,22 @@ def test_positive_lift_length_on_all_of_i4():
 
 
 def test_factorize_properties(rng):
-    for _ in range(200):
-        n = rng.randint(0, 5)
-        word = random_word(rng, n, 14)
+    for _ in range(2_000):
+        n = rng.randint(0, 6)
+        word = random_word(rng, n, 14, with_xi=rng.random() < 0.5)
         idempotent, braid_part = factorize(word)
-        assert equal_action(idempotent * braid_part, word)
+        assert equal_action(idempotent * braid_part, word), str(word)
+        if XI not in word.kinds():
+            assert equal_nf(idempotent * braid_part, word), str(word)
         assert equal_action(idempotent * idempotent, idempotent)
         assert all(letter.kind == EPSILON for letter in idempotent)
         assert all(letter.kind != EPSILON for letter in braid_part)
-        assert tau(idempotent).domain() == tau(word).domain()
-        # the braid part deletes nothing
+        assert len(braid_part) <= len(word)
+        # the braid part deletes nothing; the idempotent deletes what w does
         assert tau(braid_part).is_total()
+        assert tau(idempotent).domain() == tau(word).domain()
+        deleted = set(range(1, n + 1)) - set(tau(word).domain())
+        assert [letter.index for letter in idempotent] == sorted(deleted)
 
 
 def test_positive_lift_is_a_section(rng):
