@@ -136,10 +136,10 @@ def _replay(w: Word, occupant: list[int | None]) -> list[int]:
 
     The strands named in occupant, the first pass of w, start live and
     the rest start empty.  The word is replayed with only those survivors
-    placed, so a crossing with a strand deleted later is a plain move, and
-    a crossing of two survivors gets its rank from above[p], the number of
-    survivors at positions before p, negated for an inverse crossing.
-    A welded swap raises wherever it stands: it has no survivor braid.
+    placed, so a crossing or swap with a strand deleted later is a plain
+    move, and a crossing of two survivors gets its rank from above[p], the
+    number of survivors before p, negated for an inverse crossing.  A
+    welded swap of two survivors raises: it has no survivor braid.
     """
     n = w.n
     live = [False] * n
@@ -154,11 +154,11 @@ def _replay(w: Word, occupant: list[int | None]) -> list[int]:
         kind = letter.kind
         if kind == EPSILON:
             continue
-        if kind == XI:
-            raise ValueError("skeletons are not defined for xi letters")
         p = letter.index - 1
         a, b = live[p], live[p + 1]
         if a and b:
+            if kind == XI:
+                raise ValueError("skeletons are not defined for xi letters")
             rank = above[p] + 1
             braid.append(rank if kind == SIGMA else -rank)
         elif a:
@@ -177,7 +177,7 @@ def evaluate_skeleton(w: Word) -> Skeleton:
     position to find the survivors and where each one ends, from which
     _strand_map reads the strand map, and _replay replays the word with
     only the survivors placed to read off the underlying braid.  Raises
-    ValueError on welded (xi) letters, from the second pass.
+    ValueError on a welded (xi) swap of two survivors, from the second pass.
     """
     occupant = _occupants(w)
     mapping, domain, codomain = _strand_map(occupant)
@@ -186,18 +186,17 @@ def evaluate_skeleton(w: Word) -> Skeleton:
 
 
 def delete_strand(braid: Word, start_pos: int) -> Word:
-    """Remove the strand starting at start_pos from a crossing-only word.
-
-    This is the underlying braid of epsilon_{start_pos} followed by the
-    word: crossings involving that strand are dropped, the rest are
-    reindexed among the surviving strands.
+    """Remove the strand starting at start_pos from a crossing-only word:
+    the survivor braid of epsilon_{start_pos} followed by the word, which
+    drops that strand's crossings and reindexes the rest among the others.
     """
     m = braid.n
     if any(letter.kind not in (SIGMA, SIGMA_INV) for letter in braid):
         raise ValueError("delete_strand expects a crossing-only word")
     if not 1 <= start_pos <= m:
         raise ValueError(f"start position {start_pos} out of range for {m} strands")
-    return evaluate_skeleton(Word(m, (epsilon(start_pos),) + braid.letters)).braid
+    word = Word(m, (epsilon(start_pos),) + braid.letters)
+    return _crossing_word(m - 1, _replay(word, _occupants(word)))
 
 
 GROUP_CLASS = "group"

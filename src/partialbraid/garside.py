@@ -300,7 +300,7 @@ def equal_nf(w1: Word, w2: Word) -> bool:
        the group B_k, where p u s = p v s exactly when u = v.
 
     Raises ValueError on a strand-count mismatch, then, when the strand
-    maps agree, on xi letters in either word.
+    maps agree, on an xi letter that swaps two survivors in either word.
     """
     if w1.n != w2.n:
         raise ValueError(f"strand-count mismatch: {w1.n} vs {w2.n}")

@@ -24,9 +24,10 @@ def mu(a: Word, b: Word) -> Word:
 
 
 def _equal(w1: Word, w2: Word, max_letters: int = MAX_LETTERS) -> bool:
-    """Monoid equality: equal_nf answers any pair whose strand maps differ,
-    the welded pairs it refuses go to the action, under max_letters, and
-    any other refusal is raised.  Only that branch loads the action."""
+    """Monoid equality: equal_nf answers a pair unless the strand maps agree
+    and a swap meets two survivors; those welded pairs go to the action,
+    under max_letters, and any other refusal is raised.  Only that branch
+    loads the action."""
     try:
         return equal_nf(w1, w2)
     except ValueError:

@@ -5,6 +5,7 @@ import pytest
 
 from partialbraid.words import (
     EPSILON,
+    XI,
     Word,
     epsilon,
     sigma,
@@ -67,6 +68,26 @@ def position_tracking_map(w):
                 elif p == i + 1:
                     pos[s] = i
     return pos
+
+
+def has_survivor_swap(w):
+    """Does a swap of w meet two strands that survive the whole word?
+
+    Places markers for the survivors only, found by position_tracking_map,
+    and moves them letter by letter; no marker ever meets an e letter.
+    Such a swap is the one letter a survivor braid cannot record.
+    """
+    pos = {s: s for s in position_tracking_map(w)}
+    for letter in w.letters:
+        i = letter.index
+        if letter.kind == EPSILON:
+            continue
+        moved = [s for s, p in pos.items() if p in (i, i + 1)]
+        if letter.kind == XI and len(moved) == 2:
+            return True
+        for s in moved:
+            pos[s] = 2 * i + 1 - pos[s]
+    return False
 
 
 @pytest.fixture

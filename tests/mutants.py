@@ -177,21 +177,28 @@ MUTANTS = [
     (
         "_replay lets a welded swap through as a crossing",
         "diagram.py",
-        "        if kind == XI:\n"
-        "            raise ValueError(\"skeletons are not defined for xi letters\")\n",
+        "            if kind == XI:\n"
+        "                raise ValueError(\"skeletons are not defined for xi letters\")\n",
         "",
         ["tests/test_garside.py::test_equal_nf_error_order"],
     ),
     (
-        "_replay refuses a welded swap only between two survivors",
+        "_replay drops a swap of two survivors",
         "diagram.py",
+        "                raise ValueError(\"skeletons are not defined for xi letters\")\n",
+        "                continue\n",
+        ["tests/test_garside.py::test_equal_nf_error_order"],
+    ),
+    (
+        "_replay refuses every welded swap",
+        "diagram.py",
+        "        p = letter.index - 1\n        a, b = live[p], live[p + 1]\n"
+        "        if a and b:\n            if kind == XI:\n"
+        "                raise ValueError(\"skeletons are not defined for xi letters\")\n",
         "        if kind == XI:\n"
         "            raise ValueError(\"skeletons are not defined for xi letters\")\n"
         "        p = letter.index - 1\n        a, b = live[p], live[p + 1]\n"
         "        if a and b:\n",
-        "        p = letter.index - 1\n        a, b = live[p], live[p + 1]\n"
-        "        if a and b:\n            if kind == XI:\n"
-        "                raise ValueError(\"skeletons are not defined for xi letters\")\n",
         ["tests/test_diagram.py::test_strand_path_refuses_welded_swaps"],
     ),
     (

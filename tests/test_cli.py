@@ -384,21 +384,26 @@ def test_resource_limit_exit_three(capsys):
     )
     assert run(["central", "-n", "3", "--max-letters", "85", central]) == 3
     assert capsys.readouterr().err == (
-        "resource limit: word 2 (e1 w), letter 70 (s1): image of strand 3"
+        "resource limit: word 2 (e3 w), letter 68 (s1): image of strand 2"
         " reached 86 letters, over the cap of 85\n"
     )
     assert run(["central", "-n", "3", "--max-letters", "50", "t1 " + word]) == 1
     assert capsys.readouterr().out == "false\n"
     # so do makanin and imakanin: a cap line names the product e_i w, and
-    # its letter counts the leading e_i
+    # its letter counts the leading e_i; e1 w and e2 w have no swap of two
+    # survivors, so the survivor pass answers them under any cap, and only
+    # e3 w reaches the action
     unwound = "t1 t1 " + "s1 s2 " * 20 + "s2^-1 s1^-1 " * 20
     assert run(["makanin", "-n", "3", unwound]) == 0
     assert capsys.readouterr().out == "true\n"
     capped = ["-n", "3", "--max-letters", "50"]
-    for argv in ["makanin", *capped], ["imakanin", *capped, "1"]:
+    for i in "1", "2":
+        assert run(["imakanin", *capped, i, unwound]) == 0
+        assert capsys.readouterr().out == "true\n"
+    for argv in ["makanin", *capped], ["imakanin", *capped, "3"]:
         assert run(argv + [unwound]) == 3
         assert capsys.readouterr().err == (
-            "resource limit: word 1 (e1 w), letter 41 (s2): image of strand 3"
+            "resource limit: word 1 (e3 w), letter 39 (s2): image of strand 2"
             " reached 51 letters, over the cap of 50\n"
         )
 

@@ -47,7 +47,10 @@ def corners() -> tuple[dict[str, str], frozenset[int]]:
                with one letter x's sign flipped: freely a x^2 a^-1, a
                pure braid of exponent sum 2 or -2;
     cancelled  the random word with s1 s1^-1 inserted in its middle;
-    empty      the identity.
+    empty      the identity;
+    sparse     every strand but each 100th deleted, then LENGTH letters,
+               10% of them swaps t_i and the rest crossings;
+    swapped    the sparse word with t_j t_j inserted in its middle.
     """
     rng = random.Random(SEED)
     crossings = [
@@ -66,12 +69,20 @@ def corners() -> tuple[dict[str, str], frozenset[int]]:
         order[g - 1], order[g] = order[g], order[g - 1]
     g = _index(u[j])
     middle = LENGTH // 2
+    sparse = [f"e{i}" for i in range(1, N + 1) if i % 100] + [
+        f"t{rng.randint(1, N - 1)}" if rng.random() < 0.1 else token
+        for token in crossings
+    ]
+    t_j = f"t{rng.randint(1, N - 1)}"
+    middle_sparse = len(sparse) // 2
     texts = {
         "random": crossings,
         "deletions": deletions,
         "pure": u + [_inverse(token) for token in reversed(v)],
         "cancelled": crossings[:middle] + ["s1", "s1^-1"] + crossings[middle:],
         "empty": [],
+        "sparse": sparse,
+        "swapped": sparse[:middle_sparse] + [t_j, t_j] + sparse[middle_sparse:],
     }
     words = {name: " ".join(tokens) for name, tokens in texts.items()}
     return words, frozenset(order[g - 1 : g + 1])
@@ -92,6 +103,7 @@ def _cases():
         ("eq", [], ["pure", "empty"], "false", 1),
         ("eq", [], ["random", "cancelled"], "true", 0),
         ("factor", [], ["deletions"], "idempotent=e", 0),
+        ("eq", ["--max-letters", "1"], ["sparse", "swapped"], "true", 0),
     ]
     return [
         pytest.param(*case, id="-".join([case[0], *case[1], *case[2]]))

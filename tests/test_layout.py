@@ -126,6 +126,18 @@ def test_welded_words_with_different_strand_maps_leave_the_action_unloaded():
         assert not _loads_action(proc), argv
 
 
+def test_welded_swaps_beside_an_empty_position_leave_the_action_unloaded():
+    # in e1 t1 the swap moves strand 2 across the emptied position 1, so
+    # the survivor pass answers the pair as e1 s1 would
+    for argv, out in (
+        (["eq", "-n", "3", "e1 t1", "e1 s1"], "true\n"),
+        (["canon", "-n", "2", "e1 t1"], "I={2} J={1} inf=0 factors=[]\n"),
+    ):
+        proc = _python("-m", "partialbraid", *argv)
+        assert (proc.returncode, proc.stdout) == (0, out), argv
+        assert not _loads_action(proc), argv
+
+
 def test_welded_words_and_the_action_engine_load_the_action():
     for argv in (
         ["eq", "-n", "2", "t1 t1", "t1 t1"],
