@@ -38,6 +38,7 @@ class PartialEndo(_Frozen):
     __slots__ = ("n", "images")
 
     def __init__(self, n: int, images: Images):
+        images = tuple(images)
         if len(images) != n:
             raise ValueError(f"expected {n} images, got {len(images)}")
         object.__setattr__(self, "n", n)

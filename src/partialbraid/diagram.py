@@ -30,6 +30,7 @@ class Skeleton(_Frozen):
     def __init__(
         self, n: int, domain: tuple, codomain: tuple, braid: Word, mapping: tuple
     ):
+        domain, codomain, mapping = tuple(domain), tuple(codomain), tuple(mapping)
         if len(domain) != len(codomain):
             raise ValueError("domain and codomain sizes differ")
         if len(mapping) != n:
@@ -62,6 +63,7 @@ class PartialInjection(_Frozen):
     __slots__ = ("n", "mapping")
 
     def __init__(self, n: int, mapping: tuple[int | None, ...]):
+        mapping = tuple(mapping)
         if len(mapping) != n:
             raise ValueError(f"expected {n} entries, got {len(mapping)}")
         targets = [j for j in mapping if j is not None]

@@ -163,6 +163,7 @@ class GarsideNF(_Frozen):
     __slots__ = ("k", "inf", "factors")
 
     def __init__(self, k: int, inf: int, factors: tuple[Perm, ...]):
+        factors = tuple(map(tuple, factors))
         if k < 2 and inf != 0:
             raise ValueError("the half-twist is trivial below two strands")
         ident = identity_perm(k)
@@ -247,7 +248,7 @@ def left_greedy_nf(b: Word, k: int | None = None) -> GarsideNF:
         if letter.index >= k:
             raise ValueError(f"crossing {letter.token()} out of range for k={k}")
         ranks.append(rank)
-    return _rank_nf(k, ranks)
+    return _rank_nf(k, reduce(ranks))
 
 
 class CanonicalForm(_Frozen):
@@ -260,6 +261,7 @@ class CanonicalForm(_Frozen):
     __slots__ = ("n", "domain", "codomain", "nf")
 
     def __init__(self, n: int, domain: tuple, codomain: tuple, nf: GarsideNF):
+        domain, codomain = tuple(domain), tuple(codomain)
         if len(domain) != len(codomain):
             raise ValueError("domain and codomain sizes differ")
         if nf.k != len(domain):
@@ -276,10 +278,11 @@ class CanonicalForm(_Frozen):
 
 
 def canonical_form(w: Word) -> CanonicalForm:
-    """Skeleton of w with its underlying braid put in left normal form."""
+    """Skeleton of w with its underlying braid, freely reduced, put in left
+    normal form; the reduction is exact, as equal_nf's stage 2 says."""
     occupant = _occupants(w)
     _, domain, codomain = _strand_map(occupant)
-    ranks = _replay(w, occupant)
+    ranks = reduce(_replay(w, occupant))
     return CanonicalForm(w.n, domain, codomain, _rank_nf(len(domain), ranks))
 
 

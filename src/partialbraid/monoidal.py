@@ -12,7 +12,7 @@ picks the engine: equal_nf, or the action for the welded pairs it refuses.
 from __future__ import annotations
 
 from .diagram import PartialInjection, _occupants, _replay
-from .freegroup import MAX_LETTERS, ResourceLimitError
+from .freegroup import MAX_LETTERS, ResourceLimitError, reduce
 from .garside import _deletions_and_spread, _exponent_sum, _rank_nf, equal_nf
 from .words import EPSILON, XI, Word, braiding_word, epsilon, shift_word, sigma
 
@@ -94,7 +94,7 @@ def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
         return False
     if XI in w.kinds():
         return _commutes_with_generators(w, max_letters)
-    ranks = _replay(w, occupant)
+    ranks = reduce(_replay(w, occupant))
     if n >= 2 and _exponent_sum(ranks) % (n * (n - 1)):
         return False
     return not _rank_nf(n, ranks).factors

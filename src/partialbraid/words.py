@@ -9,7 +9,7 @@ which the corresponding diagrams are stacked top to bottom.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 SIGMA = "sigma"
 SIGMA_INV = "sigma-inverse"
@@ -122,12 +122,16 @@ def xi(i: int) -> Letter:
 class Word(_Frozen):
     __slots__ = ("n", "letters")
 
-    def __init__(self, n: int, letters: tuple[Letter, ...] = ()):
+    def __init__(self, n: int, letters: Iterable[Letter] = ()):
+        letters = tuple(letters)
         if n < 0:
             raise ValueError(f"strand count must be >= 0, got {n}")
-        for letter in letters:
-            if letter._strands > n:
-                raise ValueError(f"letter {letter.token()} out of range for n={n}")
+        try:
+            for letter in letters:
+                if letter._strands > n:
+                    raise ValueError(f"letter {letter.token()} out of range for n={n}")
+        except AttributeError:
+            raise ValueError("word letters must be Letter values") from None
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 

@@ -65,6 +65,13 @@ MUTANTS = [
         ["tests/test_garside.py::test_left_weighted_is_start_set_inclusion"],
     ),
     (
+        "canonical_form normalizes the unreduced ranks",
+        "garside.py",
+        "    ranks = reduce(_replay(w, occupant))\n",
+        "    ranks = _replay(w, occupant)\n",
+        ["tests/test_garside.py::test_normal_forms_start_from_the_freely_reduced_braid"],
+    ),
+    (
         "equal_nf answers true on equal occupant lists",
         "garside.py",
         "    if occupant != _occupants(w2):\n        return False\n",

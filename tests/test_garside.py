@@ -12,9 +12,14 @@ from conftest import (
     random_pure_braid,
     random_word,
 )
-from partialbraid import ResourceLimitError, garside
+from partialbraid import ResourceLimitError, garside, monoidal
 from partialbraid.action import equal_action
-from partialbraid.diagram import PartialInjection, _occupants, evaluate_skeleton
+from partialbraid.diagram import (
+    PartialInjection,
+    _occupants,
+    _replay,
+    evaluate_skeleton,
+)
 from partialbraid.garside import (
     CanonicalForm,
     GarsideNF,
@@ -422,6 +427,70 @@ def test_canonical_form_examples():
     assert str(form) == "I={2} J={2} inf=0 factors=[]"
 
     assert canonical_form(w("e1 s1 e1", 2)) == canonical_form(w("s1 e1 s1 e1", 2))
+
+
+def _has_cancelling_pair(ranks):
+    return any(a == -b for a, b in zip(ranks, ranks[1:]))
+
+
+def test_normal_forms_start_from_the_freely_reduced_braid(monkeypatch):
+    # every normal form canonical_form, left_greedy_nf and is_central build
+    # is handed ranks with no adjacent r, -r; monoidal imports _rank_nf
+    handed = []
+    real = garside._rank_nf
+
+    def spy(k, ranks):
+        handed.append(tuple(ranks))
+        return real(k, ranks)
+
+    monkeypatch.setattr(garside, "_rank_nf", spy)
+    monkeypatch.setattr(monoidal, "_rank_nf", spy)
+    # the pairs cancel as written, after an inner pair goes, and once a
+    # deleted strand takes the crossing between them; is_central's words
+    # are pure with a multiple of n(n-1) as exponent sum, so they reach
+    # the normal form
+    braids = ["s1 s1^-1", "s1 s2 s2^-1 s1^-1 s2", "s2^-1 s1 s1^-1 s2 s1",
+              "s1 s1^-1 s1 s2 s1 s2 s1 s2"]
+    central = ["s1 s1^-1", "s1 s2 s1 s2 s2^-1 s2 s1 s2", "s1 s2 s2^-1 s1^-1"]
+    deleted = ["s1 s2 s1^-1 e3 s1 s2^-1"]
+    cases = [(canonical_form, text, 4) for text in braids + deleted]
+    cases += [(left_greedy_nf, text, 4) for text in braids]
+    cases += [(monoidal.is_central, text, 3) for text in central]
+    for build, text, n in cases:
+        word = w(text, n)
+        assert _has_cancelling_pair(_replay(word, _occupants(word))), text
+        del handed[:]
+        build(word)
+        assert len(handed) == 1 and not _has_cancelling_pair(handed[0]), (
+            build.__name__, text, handed
+        )
+    assert all(monoidal.is_central(w(text, 3)) for text in central)
+
+
+def test_canonical_form_matches_the_unreduced_normal_form():
+    # seeded: free reduction leaves the normal form as it was, on crossing
+    # words of n = 3..10, 20 and 40 strands and up to 400 letters, each
+    # with s_i s_i^-1 pairs inserted at random and, every other word, a
+    # deletion or two
+    rng = random.Random(0xF4EE)
+    cancelled = 0
+    for n in (*range(3, 11), 20, 40):
+        for max_len in (40, 400):
+            letters = list(random_braid_word(rng, n, max_len).letters)
+            inserts = [(sigma(i), sigma_inv(i)) for i in rng.choices(range(1, n), k=8)]
+            if max_len > 40:
+                inserts += [(epsilon(rng.randint(1, n)),) for _ in range(2)]
+            for insert in inserts:
+                pos = rng.randint(0, len(letters))
+                letters[pos:pos] = insert[::rng.choice((1, -1))]
+            word = Word(n, letters)
+            occupant = _occupants(word)
+            ranks = _replay(word, occupant)
+            unreduced = garside._rank_nf(n - occupant.count(None), ranks)
+            assert canonical_form(word).nf == unreduced, str(word)
+            cancelled += _has_cancelling_pair(ranks)
+    # a deletion may take one inserted pair's crossings with it
+    assert cancelled >= 15, cancelled
 
 
 def test_equal_nf_examples():

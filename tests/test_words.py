@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from partialbraid import words as W
 from partialbraid.action import PartialEndo
 from partialbraid.diagram import AbelianClass, PartialInjection, Skeleton
-from partialbraid.garside import CanonicalForm, GarsideNF
+from partialbraid.garside import CanonicalForm, GarsideNF, canonical_form, equal_nf
 from partialbraid.words import (
     Letter,
     RelationPair,
@@ -409,12 +409,46 @@ def test_value_types_keep_dataclass_semantics():
         (lambda: PartialInjection(2, (1,)), "expected 2 entries, got 1"),
         (lambda: PartialInjection(2, (3, None)), "targets out of range"),
         (lambda: PartialInjection(2, (1, 1)), "mapping is not injective"),
+        (lambda: Word(3, [sigma(1), "s2"]), "word letters must be Letter values"),
     ],
 )
 def test_value_type_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_word_stores_a_generator_of_letters():
+    # validating must not leave the stored letters exhausted
+    word = Word(3, (x for x in [sigma(1)]))
+    assert word.letters == (sigma(1),) and word == Word(3, (sigma(1),))
+    assert not equal_nf(word, Word(3))
+    assert str(canonical_form(word)) == "I={1,2,3} J={1,2,3} inf=0 factors=[2 1 3]"
+
+
+def _tupled(value):
+    return tuple(map(_tupled, value)) if isinstance(value, list) else value
+
+
+_LISTED_FIELDS = [
+    (Word, {"n": 2, "letters": [sigma(1), epsilon(2)]}),
+    (Skeleton, {"n": 2, "domain": [1, 2], "codomain": [1, 2],
+                "braid": Word(2, (sigma(1),)), "mapping": [2, 1]}),
+    (GarsideNF, {"k": 3, "inf": 1, "factors": [[1, 0, 2]]}),
+    (CanonicalForm, {"n": 3, "domain": [1, 2, 3], "codomain": [1, 2, 3],
+                     "nf": GarsideNF(3, 1, ((1, 0, 2),))}),
+    (PartialEndo, {"n": 2, "images": [(2,), (-2, 1, 2)]}),
+    (PartialInjection, {"n": 2, "mapping": [2, None]}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields", _LISTED_FIELDS, ids=[cls.__name__ for cls, _ in _LISTED_FIELDS]
+)
+def test_sequence_fields_are_stored_as_tuples(cls, fields):
+    value = cls(**fields)
+    twin = cls(**{name: _tupled(v) for name, v in fields.items()})
+    assert value == twin and hash(value) == hash(twin)
 
 
 def test_letters_are_interned():
