@@ -52,17 +52,21 @@ def _letter_cap(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb."""
+    return _parser_for(_VERBS)
+
+
+def _parser_for(verbs) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of verbs only.  A verb's
+    usage, help and errors come from its own subparser, so they read the
+    same whichever other verbs are built beside it."""
     parser = argparse.ArgumentParser(
         prog="partialbraid",
         description="Exact computation in the inverse braid monoid.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def add(
-        verb: str, help_text: str, handler, need_n: bool = True, capped: bool = False
-    ) -> argparse.ArgumentParser:
-        """A verb bound to its handler; capped verbs can reach the action
-        engine and take its letter cap."""
+    for verb in verbs:
+        help_text, handler, need_n, capped, arguments = _VERBS[verb]
         sp = sub.add_parser(verb, help=help_text)
         sp.set_defaults(handler=handler)
         sp.add_argument(
@@ -79,77 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=freegroup.MAX_LETTERS,
                 help="free-word growth cap for the action engine",
             )
-        return sp
-
-    sp = add("eval", "partial free-group endomorphism of a word", _cmd_eval, capped=True)
-    sp.add_argument("word")
-
-    sp = add("eq", "decide equality of two words", _cmd_eq, capped=True)
-    sp.add_argument("--engine", choices=("action", "garside"), default="garside")
-    sp.add_argument(
-        "--batch",
-        metavar="FILE",
-        help="read tab-separated word pairs from FILE ('-' for stdin)",
-    )
-    sp.add_argument("words", nargs="*")
-
-    sp = add("nf", "left-greedy normal form of a crossing-only word", _cmd_nf)
-    sp.add_argument("word")
-
-    sp = add("canon", "canonical form: strands kept plus normal form", _cmd_canon)
-    sp.add_argument("word")
-
-    sp = add("tau", "induced partial injection of strand endpoints", _cmd_tau, capped=True)
-    sp.add_argument("word")
-
-    sp = add("inv", "monoid inverse (mirror of the word)", _cmd_inv)
-    sp.add_argument("word")
-
-    sp = add("makanin", "trivial after deleting any one strand?", _cmd_makanin, capped=True)
-    sp.add_argument("word")
-
-    sp = add("imakanin", "trivial after deleting strand i?", _cmd_imakanin, capped=True)
-    sp.add_argument("i", type=int)
-    sp.add_argument("word")
-
-    sp = add("delete", "remove one strand from a crossing-only word", _cmd_delete)
-    sp.add_argument("word")
-    sp.add_argument("start_pos", type=int)
-
-    sp = add("mu", "place two words side by side (-n strands, then -m)", _cmd_mu)
-    sp.add_argument(
-        "-m", dest="m", type=_strand_count, required=True,
-        help="strands of the right word",
-    )
-    sp.add_argument("left")
-    sp.add_argument("right")
-
-    sp = add(
-        "braiding", "block transposition braid on m + n2 strands", _cmd_braiding,
-        need_n=False,
-    )
-    sp.add_argument("m", type=_strand_count)
-    sp.add_argument("n2", type=_strand_count)
-
-    sp = add("factor", "idempotent times full braid decomposition", _cmd_factor)
-    sp.add_argument("word")
-
-    sp = add("abelian", "commutative-quotient invariant", _cmd_abelian)
-    sp.add_argument("word")
-
-    sp = add(
-        "central", "does the word commute with every sigma_i and epsilon_i?",
-        _cmd_central, capped=True,
-    )
-    sp.add_argument("word")
-
-    sp = add(
-        "verify-presentation", "check every relation of a presentation", _cmd_verify,
-        capped=True,
-    )
-    sp.add_argument("--engine", choices=("action", "garside"), default=None)
-    sp.add_argument("suite", choices=words.SUITE_IDS)
-
+        for name, options in arguments:
+            sp.add_argument(name, **options)
     return parser
 
 
@@ -221,15 +156,24 @@ def _cmd_eq(args) -> int:
     return _bool_result(args, _equal(args.engine, w1, w2, args.max_letters))
 
 
+# Answers a file batch writes at once: one write per block, not per answer.
+_ANSWER_BLOCK = 4096
+
+
 def _cmd_eq_batch(args) -> int:
+    """Answers from a file go out in blocks of _ANSWER_BLOCK; answers to
+    pairs read from stdin are written and flushed one by one, so a client
+    that sends a pair and waits gets its answer before EOF.  Whatever is
+    pending is written on every way out, before a failing line's message."""
     stream = sys.stdin if args.batch == "-" else open(args.batch)
-    # one write per answer; answers read from stdin are flushed one by one,
-    # so a client that sends a pair and waits gets its answer before EOF
     if args.format == "json":
         answers = {v: _json({"result": v}) + "\n" for v in (True, False)}
     else:
         answers = {True: "true\n", False: "false\n"}
     out, flush = sys.stdout, stream is sys.stdin
+    block = 1 if flush else _ANSWER_BLOCK
+    pending: list[str] = []
+    failure = None  # (exit code, message) of the line that stops the batch
     seen: dict = {}  # token -> letter, shared by every word of the batch
     try:
         for lineno, line in enumerate(stream, 1):
@@ -238,27 +182,34 @@ def _cmd_eq_batch(args) -> int:
             if len(parts) != 2:
                 if len(parts) == 1 and not line.strip():
                     continue  # blank: empty, or whitespace such as a CRLF \r
-                print(
-                    f"line {lineno}: expected word<TAB>word", file=sys.stderr
-                )
-                return USAGE_ERROR
+                failure = USAGE_ERROR, f"line {lineno}: expected word<TAB>word"
+                break
             try:
                 w1 = words.parse_word(parts[0], args.n, seen)
                 w2 = words.parse_word(parts[1], args.n, seen)
                 value = _equal(args.engine, w1, w2, args.max_letters)
             except ResourceLimitError as exc:
-                print(f"line {lineno}: resource limit: {exc}", file=sys.stderr)
-                return RESOURCE_ERROR
+                failure = RESOURCE_ERROR, f"line {lineno}: resource limit: {exc}"
+                break
             except ValueError as exc:
-                print(f"line {lineno}: error: {exc}", file=sys.stderr)
-                return USAGE_ERROR
-            out.write(answers[value])
-            if flush:
-                out.flush()
+                failure = USAGE_ERROR, f"line {lineno}: error: {exc}"
+                break
+            pending.append(answers[value])
+            if len(pending) == block:
+                out.write("".join(pending))
+                pending.clear()
+                if flush:
+                    out.flush()
     finally:
+        if pending:
+            out.write("".join(pending))
         if stream is not sys.stdin:
             stream.close()
-    return 0
+    if failure is None:
+        return 0
+    code, message = failure
+    print(message, file=sys.stderr)
+    return code
 
 
 def _cmd_nf(args) -> int:
@@ -409,15 +360,91 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-# Built by the first run and reused: parse_args keeps no state in it.
-_parser: argparse.ArgumentParser | None = None
+def _verb(help_text: str, handler, *arguments, need_n: bool = True,
+          capped: bool = False) -> tuple:
+    """A row of _VERBS: a verb bound to its handler, with its own arguments
+    as (name, add_argument keywords) pairs; capped verbs can reach the
+    action engine and take its letter cap."""
+    return help_text, handler, need_n, capped, arguments
+
+
+_WORD = ("word", {})
+_ENGINES = ("action", "garside")
+
+# Every verb, in the order the top-level help lists them.
+_VERBS = {
+    "eval": _verb(
+        "partial free-group endomorphism of a word", _cmd_eval, _WORD, capped=True
+    ),
+    "eq": _verb(
+        "decide equality of two words", _cmd_eq,
+        ("--engine", {"choices": _ENGINES, "default": "garside"}),
+        ("--batch", {
+            "metavar": "FILE",
+            "help": "read tab-separated word pairs from FILE ('-' for stdin)",
+        }),
+        ("words", {"nargs": "*"}),
+        capped=True,
+    ),
+    "nf": _verb("left-greedy normal form of a crossing-only word", _cmd_nf, _WORD),
+    "canon": _verb("canonical form: strands kept plus normal form", _cmd_canon, _WORD),
+    "tau": _verb(
+        "induced partial injection of strand endpoints", _cmd_tau, _WORD, capped=True
+    ),
+    "inv": _verb("monoid inverse (mirror of the word)", _cmd_inv, _WORD),
+    "makanin": _verb(
+        "trivial after deleting any one strand?", _cmd_makanin, _WORD, capped=True
+    ),
+    "imakanin": _verb(
+        "trivial after deleting strand i?", _cmd_imakanin,
+        ("i", {"type": int}), _WORD, capped=True,
+    ),
+    "delete": _verb(
+        "remove one strand from a crossing-only word", _cmd_delete,
+        _WORD, ("start_pos", {"type": int}),
+    ),
+    "mu": _verb(
+        "place two words side by side (-n strands, then -m)", _cmd_mu,
+        ("-m", {
+            "dest": "m", "type": _strand_count, "required": True,
+            "help": "strands of the right word",
+        }),
+        ("left", {}), ("right", {}),
+    ),
+    "braiding": _verb(
+        "block transposition braid on m + n2 strands", _cmd_braiding,
+        ("m", {"type": _strand_count}), ("n2", {"type": _strand_count}),
+        need_n=False,
+    ),
+    "factor": _verb("idempotent times full braid decomposition", _cmd_factor, _WORD),
+    "abelian": _verb("commutative-quotient invariant", _cmd_abelian, _WORD),
+    "central": _verb(
+        "does the word commute with every sigma_i and epsilon_i?", _cmd_central,
+        _WORD, capped=True,
+    ),
+    "verify-presentation": _verb(
+        "check every relation of a presentation", _cmd_verify,
+        ("--engine", {"choices": _ENGINES, "default": None}),
+        ("suite", {"choices": words.SUITE_IDS}),
+        capped=True,
+    ),
+}
+
+# Built on first use and reused, as parse_args keeps no state in them:
+# the parser of the verb that argv starts with, or the parser of every
+# verb when it starts with none, so that the top-level usage, help and
+# errors name them all.
+_parsers: dict[str | None, argparse.ArgumentParser] = {}
 
 
 def run(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    parser = _parsers.get(verb)
+    if parser is None:
+        parser = _parsers[verb] = _parser_for((verb,) if verb else _VERBS)
+    args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except ResourceLimitError as exc:

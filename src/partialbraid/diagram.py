@@ -136,39 +136,32 @@ def _strand_map(occupant: list[int | None]) -> tuple:
 def _replay(w: Word, occupant: list[int | None]) -> list[int]:
     """Second pass: the survivors' crossings as signed ranks.
 
-    The strands named in occupant, the first pass of w, start live and
-    the rest start empty.  The word is replayed with only those survivors
-    placed, so a crossing or swap with a strand deleted later is a plain
-    move, and a crossing of two survivors gets its rank from above[p], the
-    number of survivors before p, negated for an inverse crossing.  A
-    welded swap of two survivors raises: it has no survivor braid.
+    The strands named in occupant, the first pass of w, start at their
+    positions and the rest start empty: rank[p] is the rank among the
+    survivors of the one at position p, or 0 where p is empty.  The word
+    is replayed with only those survivors placed, so a crossing or swap
+    with an empty position is a plain move that carries the rank to the
+    empty side, and a crossing of two survivors reads its rank at p,
+    negated for an inverse crossing.  Ranks by position never change at a
+    crossing, so the two keep theirs.  A welded swap of two survivors
+    raises: it has no survivor braid.
     """
-    n = w.n
-    live = [False] * n
-    for strand in occupant:
-        if strand is not None:
-            live[strand - 1] = True
-    above = [0] * n
-    for p in range(1, n):
-        above[p] = above[p - 1] + live[p - 1]
+    rank = [0] * w.n
+    for r, strand in enumerate(sorted(filter(None, occupant)), 1):
+        rank[strand - 1] = r
     braid: list[int] = []
     for letter in w.letters:
         kind = letter.kind
         if kind == EPSILON:
             continue
         p = letter.index - 1
-        a, b = live[p], live[p + 1]
+        a, b = rank[p], rank[p + 1]
         if a and b:
             if kind == XI:
                 raise ValueError("skeletons are not defined for xi letters")
-            rank = above[p] + 1
-            braid.append(rank if kind == SIGMA else -rank)
-        elif a:
-            live[p], live[p + 1] = False, True
-            above[p + 1] -= 1
-        elif b:
-            live[p], live[p + 1] = True, False
-            above[p + 1] += 1
+            braid.append(a if kind == SIGMA else -a)
+        else:
+            rank[p], rank[p + 1] = b, a
     return braid
 
 

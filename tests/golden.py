@@ -14,7 +14,9 @@ A change that alters an expected output regenerates the file, and the
 diff shows which invocations changed.  argparse's own usage text wraps
 with the terminal and words its messages differently across Python
 versions, so for a usage error that argparse raises only the last line
-of stderr is kept, and no invocation names an invalid choice.
+of stderr is kept, and the quotes are dropped from the list of choices
+that an invalid choice names.  Help text is kept whole, wrapped at 80
+columns, as the Python that wrote the file prints it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "golden.jsonl"
@@ -251,6 +254,11 @@ def cases() -> list[dict]:
                 word = _word(rng, n, 10, welded=True)
                 argv = ["imakanin", "-n", str(n), "--max-letters", cap]
                 add(argv + [str(rng.randint(1, n)), word])
+    # the top-level texts, which the full parser prints, and the help of
+    # two verbs, which their own parsers print
+    for argv in ([], ["-h"], ["frob", "-n", "2", "s1"], ["eq", "-h"],
+                 ["verify-presentation", "-h"]):
+        add(argv)
     return out
 
 
@@ -275,8 +283,10 @@ def invoke(case: dict) -> dict:
         out, err = io.StringIO(), io.StringIO()
         stdin = sys.stdin
         sys.stdin = io.StringIO(case.get("stdin") or "")
+        # argparse wraps help to the width of the terminal
+        columns = mock.patch.dict(os.environ, {"COLUMNS": "80"})
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), columns:
                 try:
                     code = run(argv)
                     usage = False
@@ -287,6 +297,8 @@ def invoke(case: dict) -> dict:
     text = err.getvalue()
     if usage:
         text = text.splitlines()[-1] if text else ""
+        head, choices, tail = text.partition("(choose from ")
+        text = head + choices + tail.replace("'", "")
     return {"code": code, "out": out.getvalue(), "err": text}
 
 

@@ -121,12 +121,12 @@ MUTANTS = [
         ["tests/test_garside.py::test_equal_nf_normal_forms_see_only_the_cores"],
     ),
     (
-        "survivor ranks start live at end positions, not start strands",
+        "survivor ranks placed at end positions, not start strands",
         "diagram.py",
-        "    for strand in occupant:\n        if strand is not None:\n"
-        "            live[strand - 1] = True\n",
-        "    for p, strand in enumerate(occupant):\n        if strand is not None:\n"
-        "            live[p] = True\n",
+        "    for r, strand in enumerate(sorted(filter(None, occupant)), 1):\n"
+        "        rank[strand - 1] = r\n",
+        "    for r, p in enumerate((p for p, s in enumerate(occupant) if s), 1):\n"
+        "        rank[p] = r\n",
         ["tests/test_diagram.py::test_skeleton_edge_cases"],
     ),
     (
@@ -199,12 +199,12 @@ MUTANTS = [
     (
         "_replay refuses every welded swap",
         "diagram.py",
-        "        p = letter.index - 1\n        a, b = live[p], live[p + 1]\n"
+        "        p = letter.index - 1\n        a, b = rank[p], rank[p + 1]\n"
         "        if a and b:\n            if kind == XI:\n"
         "                raise ValueError(\"skeletons are not defined for xi letters\")\n",
         "        if kind == XI:\n"
         "            raise ValueError(\"skeletons are not defined for xi letters\")\n"
-        "        p = letter.index - 1\n        a, b = live[p], live[p + 1]\n"
+        "        p = letter.index - 1\n        a, b = rank[p], rank[p + 1]\n"
         "        if a and b:\n",
         ["tests/test_diagram.py::test_strand_path_refuses_welded_swaps"],
     ),
@@ -364,12 +364,20 @@ MUTANTS = [
     (
         "eq --batch - answers without flushing",
         "cli.py",
-        "            if flush:\n                out.flush()\n",
+        "                if flush:\n                    out.flush()\n",
         "",
         [
-            "tests/test_cli.py::test_batch_writes_each_answer_once",
+            "tests/test_cli.py::"
+            "test_batch_writes_file_answers_in_blocks_and_stdin_answers_one_by_one",
             "tests/test_cli.py::test_batch_stdin_answers_each_pair_before_eof",
         ],
+    ),
+    (
+        "file mode drops the pending block on an error",
+        "cli.py",
+        "        if pending:\n",
+        "        if pending and failure is None:\n",
+        ["tests/test_cli.py::test_batch_writes_every_earlier_answer_before_the_failing_line"],
     ),
     (
         "value equality across value classes",

@@ -604,23 +604,65 @@ def test_batch_matches_single_eq_runs_across_spellings(tmp_path, monkeypatch, ca
                 )
 
 
-def test_run_builds_the_parser_once(monkeypatch, capsys):
-    # every run after the first reuses the parser, usage errors included
+def test_run_builds_each_verbs_parser_once(monkeypatch, capsys):
+    # a run builds the parser of the verb it names, or of every verb when
+    # it names none, and every later run reuses it, usage errors included
     from partialbraid import cli
 
     built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    real = cli._parser_for
+    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(
+        cli, "_parser_for", lambda verbs: built.append(len(verbs)) or real(verbs)
+    )
     assert run(["eq", "-n", "3", "s1 s2 s1", "s2 s1 s2"]) == 0
     with pytest.raises(SystemExit):
         run(["eq", "-n", "x", "s1", "s1"])
     assert run(["eq", "-n", "2", "s1", "s1^-1", "--format", "json"]) == 1
     assert run(["canon", "-n", "2", "s1"]) == 0
+    assert run(["canon", "-n", "2", "s1 s1"]) == 0
+    for argv in ([], ["frob"], ["-n", "2", "eq"]):
+        with pytest.raises(SystemExit):
+            run(argv)
     out = capsys.readouterr()
-    assert out.out == 'true\n{"result": false}\nI={1,2} J={1,2} inf=1 factors=[]\n'
+    assert out.out == (
+        'true\n{"result": false}\nI={1,2} J={1,2} inf=1 factors=[]\n'
+        "I={1,2} J={1,2} inf=2 factors=[]\n"
+    )
     assert "argument -n: invalid int value: 'x'" in out.err
-    assert built == [1]
+    assert built == [1, 1, 15]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """What parsing argv gives: the namespace and no output, or the exit
+    code and what argparse printed."""
+    try:
+        return vars(parser.parse_args(argv)), "", ""
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+def test_a_verbs_parser_reads_argv_as_the_full_parser_does(capsys):
+    # usage, help, errors and parsed values of a verb are the same from
+    # the parser of that verb alone and from the parser of every verb
+    from partialbraid import cli
+
+    full = cli.build_parser()
+    tails = [
+        ["-h"], [], ["-n", "x"], ["-n", "1001"], ["-n", "2", "--bogus"],
+        ["-n", "2", "--format", "xml", "s1"], ["-n", "2", "s1", "s1", "s1", "s1"],
+        ["-n", "3", "s1"], ["-n", "3", "2", "s1"], ["-n", "3", "s1", "2"],
+        ["-n", "2", "-m", "1", "s1", ""], ["2", "1"], ["-n", "3", "artin"],
+        ["-n", "2", "--max-letters", "0", "s1"], ["-n", "2", "--engine", "action"],
+        ["-n", "2", "--batch", "-"],
+    ]
+    for verb in cli._VERBS:
+        alone = cli._parser_for((verb,))
+        for tail in tails:
+            argv = [verb, *tail]
+            outcome = _parse_outcome(alone, argv, capsys)
+            assert outcome == _parse_outcome(full, argv, capsys), argv
 
 
 def test_python_dash_m_entry_point():
@@ -737,41 +779,115 @@ def test_batch_stdin_answers_each_pair_before_eof(fmt, answers):
 
 
 class _WriteLog:
-    """A stdout stand-in that records each write and flush."""
+    """A stdout or stderr stand-in that records each write and flush in a
+    list that a stand-in for the other stream may share, stderr's writes
+    marked."""
 
-    def __init__(self):
-        self.events = []
+    def __init__(self, events=None, mark=""):
+        self.events = [] if events is None else events
+        self.mark = mark
 
     def write(self, text):
-        self.events.append(text)
+        self.events.append(self.mark + text)
         return len(text)
 
     def flush(self):
-        self.events.append("<flush>")
+        self.events.append(self.mark + "<flush>")
+
+
+def _blocks(answers):
+    """The writes of a file batch's answers: blocks of _ANSWER_BLOCK."""
+    from partialbraid.cli import _ANSWER_BLOCK
+
+    return [
+        "".join(answers[k: k + _ANSWER_BLOCK])
+        for k in range(0, len(answers), _ANSWER_BLOCK)
+    ]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_batch_writes_each_answer_once(tmp_path, monkeypatch, fmt):
+def test_batch_writes_file_answers_in_blocks_and_stdin_answers_one_by_one(
+    tmp_path, monkeypatch, fmt
+):
     import io
     import sys
+
+    from partialbraid.cli import _ANSWER_BLOCK
 
     pairs = "e1 s1 e1\ts1 e1 s1 e1\ne1\te2\n\ns1\ts1\n"
     answers = ["true\n", "false\n", "true\n"]
     if fmt == "json":
         answers = [json.dumps({"result": a == "true\n"}) + "\n" for a in answers]
     batch = tmp_path / "pairs.tsv"
-    batch.write_text(pairs)
     argv = ["eq", "-n", "2", "--format", fmt, "--batch"]
 
-    log = _WriteLog()
-    monkeypatch.setattr(sys, "stdout", log)
-    assert run(argv + [str(batch)]) == 0
-    # a file's answers stay buffered
-    assert log.events == answers
+    # a file's answers go out in blocks, the last one short, unflushed
+    for count in (1, _ANSWER_BLOCK, 2 * _ANSWER_BLOCK + 1):
+        batch.write_text(pairs * count)
+        log = _WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        assert run(argv + [str(batch)]) == 0
+        assert log.events == _blocks(answers * count)
 
+    # stdin's answers are one write each, flushed one by one
     log = _WriteLog()
     monkeypatch.setattr(sys, "stdout", log)
     monkeypatch.setattr(sys, "stdin", io.StringIO(pairs))
     assert run(argv + ["-"]) == 0
-    # stdin's answers are flushed one by one
     assert log.events == [e for a in answers for e in (a, "<flush>")]
+
+
+def test_batch_longer_than_a_block_answers_as_single_runs(tmp_path, capsys):
+    from random import Random
+
+    from partialbraid.cli import _ANSWER_BLOCK
+
+    pairs = _spelled_pairs(Random(0xB10C), count=5000)
+    assert len(pairs) > _ANSWER_BLOCK
+    argv = ["eq", "-n", "6"]
+    answers = []
+    for left, right in pairs:
+        assert run(argv + [left, right]) in (0, 1)
+        answers.append(capsys.readouterr().out)
+    assert len(set(answers)) == 2
+    batch = tmp_path / "pairs.tsv"
+    batch.write_text("".join(f"{left}\t{right}\n" for left, right in pairs), encoding="utf-8")
+    assert run(argv + ["--batch", str(batch)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("".join(answers), "")
+
+
+@pytest.mark.parametrize("answered", [0, 1, 4096, 4097])
+@pytest.mark.parametrize("bad", ["syntax", "cap"])
+def test_batch_writes_every_earlier_answer_before_the_failing_line(
+    tmp_path, monkeypatch, answered, bad
+):
+    # in blocks or pending, the answers before a bad or capped line are on
+    # stdout before its message goes to stderr
+    import sys
+
+    from partialbraid.cli import _ANSWER_BLOCK
+
+    assert _ANSWER_BLOCK == 4096
+    argv = ["eq", "-n", "3", "--batch"]
+    if bad == "syntax":
+        line, code, message = "s1", 2, "expected word<TAB>word"
+    else:
+        long_word = "s1 s2 " * 40
+        line, code = f"{long_word}\ts1 s1^-1 {long_word}", 3
+        message = (
+            "resource limit: word 1, letter 47 (s1): image of strand 2"
+            " reached 51 letters, over the cap of 50"
+        )
+        argv = ["eq", "-n", "3", "--engine", "action", "--max-letters", "50", "--batch"]
+    pairs = ["s1\ts1\n", "e1\te2\n"] * (answered // 2) + ["s1\ts1\n"] * (answered % 2)
+    every = ["true\n" if pair == "s1\ts1\n" else "false\n" for pair in pairs]
+    batch = tmp_path / "pairs.tsv"
+    batch.write_text("".join(pairs) + f"{line}\ns1\ts1\n")
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    monkeypatch.setattr(sys, "stderr", _WriteLog(log.events, "err: "))
+    assert run(argv + [str(batch)]) == code
+    assert log.events == _blocks(every) + [
+        f"err: line {answered + 1}: {message}", "err: \n"
+    ]
