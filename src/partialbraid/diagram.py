@@ -31,8 +31,7 @@ class Skeleton(_Frozen):
         self, n: int, domain: tuple, codomain: tuple, braid: Word, mapping: tuple
     ):
         domain, codomain, mapping = tuple(domain), tuple(codomain), tuple(mapping)
-        if len(domain) != len(codomain):
-            raise ValueError("domain and codomain sizes differ")
+        _check_strand_sets(n, domain, codomain)
         if len(mapping) != n:
             raise ValueError("strand map has the wrong length")
         if braid.n != len(domain):
@@ -49,6 +48,14 @@ class Skeleton(_Frozen):
         dom = ",".join(str(i) for i in self.domain)
         cod = ",".join(str(j) for j in self.codomain)
         return f"I={{{dom}}} J={{{cod}}} braid={self.braid}"
+
+
+def _check_strand_sets(n: int, domain: tuple, codomain: tuple) -> None:
+    """Refuse unequal sizes, then a side not strictly ascending in 1..n."""
+    if len(domain) != len(codomain):
+        raise ValueError("domain and codomain sizes differ")
+    if any(a >= b for s in (domain, codomain) for a, b in zip((0,) + s, s + (n + 1,))):
+        raise ValueError(f"domain and codomain must ascend strictly in 1..{n}")
 
 
 def _crossing_word(k: int, signed: list[int]) -> Word:
@@ -88,9 +95,6 @@ class PartialInjection(_Frozen):
     def domain(self) -> tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.mapping, 1) if j is not None)
 
-    def is_total(self) -> bool:
-        return all(j is not None for j in self.mapping)
-
     def __str__(self) -> str:
         pairs = ", ".join(
             f"{i}->{j}" for i, j in enumerate(self.mapping, 1) if j is not None
@@ -127,7 +131,7 @@ def _strand_map(occupant: list[int | None]) -> tuple:
     """(mapping, domain, codomain) of the partial injection whose occupant
     list is occupant, read off the first pass without touching the word:
     the occupant list maps end positions to start strands, and the strand
-    map that skeletons and canonical forms report is its inverse."""
+    map that skeletons report is its inverse."""
     ends = PartialInjection(len(occupant), tuple(occupant))
     starts = ends.inverse()
     return starts.mapping, starts.domain(), ends.domain()
@@ -163,6 +167,11 @@ def _replay(w: Word, occupant: list[int | None]) -> list[int]:
         else:
             rank[p], rank[p + 1] = b, a
     return braid
+
+
+def _exponent_sum(ranks: list[int] | tuple[int, ...]) -> int:
+    """Crossings minus inverse crossings of a signed-rank braid."""
+    return len(ranks) - 2 * sum(r < 0 for r in ranks)
 
 
 def evaluate_skeleton(w: Word) -> Skeleton:
@@ -215,13 +224,11 @@ def abelian_invariant(w: Word) -> AbelianClass:
     Crossings and swaps only move strands, so a word deletes a strand
     exactly when it has an e letter; a deletion absorbs swaps as it absorbs
     crossings (ibp-mixed's eps-xi slide and pair relations, with e e = e).
+    With neither, the class is the exponent sum of the survivor braid.
     """
     kinds = w.kinds()
     if EPSILON in kinds:
         return AbelianClass(EPSILON_CLASS)
     if XI in kinds:
         raise ValueError("abelian invariant is not defined for xi letters")
-    total = sum(1 for letter in w.letters if letter.kind == SIGMA) - sum(
-        1 for letter in w.letters if letter.kind == SIGMA_INV
-    )
-    return AbelianClass(GROUP_CLASS, total)
+    return AbelianClass(GROUP_CLASS, _exponent_sum(_replay(w, _occupants(w))))

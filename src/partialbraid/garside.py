@@ -15,6 +15,7 @@ what makes structural equality of canonical forms a word-problem solver.
 
 from __future__ import annotations
 
+from .diagram import PartialInjection, _check_strand_sets, _exponent_sum
 from .diagram import _occupants, _replay, _strand_map
 from .freegroup import reduce
 from .words import (
@@ -88,17 +89,15 @@ def perm_to_word(p: Perm, n: int | None = None) -> Word:
     return Word(n, tuple(sigma(g + 1) for g in reversed(swaps)))
 
 
-def _deletions_and_spread(targets: dict[int, int], n: int) -> tuple:
-    """Letters of the idempotent deleting every strand outside targets, and
-    of the positive permutation braid carrying each kept strand to its
+def _deletions_and_spread(p: PartialInjection) -> tuple:
+    """Letters of the idempotent deleting every strand outside p's domain,
+    and of the positive permutation braid carrying each kept strand to its
     target, with the deleted positions filled in ascending order."""
-    deletions = tuple(epsilon(i) for i in range(1, n + 1) if i not in targets)
-    used = set(targets.values())
-    spare = iter(j for j in range(1, n + 1) if j not in used)
-    images = tuple(
-        (targets[i] if i in targets else next(spare)) - 1 for i in range(1, n + 1)
-    )
-    return deletions, perm_to_word(images, n).letters
+    deletions = tuple(epsilon(i) for i, j in enumerate(p.mapping, 1) if j is None)
+    used = set(p.mapping)
+    spare = iter(j for j in range(1, p.n + 1) if j not in used)
+    images = tuple((next(spare) if j is None else j) - 1 for j in p.mapping)
+    return deletions, perm_to_word(images, p.n).letters
 
 
 def is_permutation_braid(w: Word, k: int | None = None) -> bool:
@@ -205,17 +204,17 @@ def _rank_nf(k: int, ranks: list[int] | tuple[int, ...]) -> GarsideNF:
     """Left normal form of the braid on k strands whose crossings are the
     signed ranks: r for sigma_r, -r for its inverse, each in 1..k-1.
 
-    Each inverse crossing is rewritten as half-twist^-1 times the
-    complementary permutation braid; the negative twists migrate to the
-    front, conjugating each crossing they pass (sigma_r -> sigma_{k-r}),
-    so a rank with an odd number of inverse crossings to its right is
-    remapped before its factor is built.  The positive factors are then
-    left-weighted.
+    The ranks are freely reduced first, exactly (equal_nf's stage 2); each
+    inverse crossing is then half-twist^-1 times the complementary
+    permutation braid, and the negative twists migrate to the front,
+    conjugating each crossing they pass (sigma_r -> sigma_{k-r}), so a
+    rank with an odd number of inverse crossings to its right is remapped
+    before its factor is built.  The positive factors are left-weighted.
     """
     half_twist = longest_perm(k)
     total = 0
     factors: list[Perm] = []
-    for r in reversed(ranks):
+    for r in reversed(reduce(ranks)):
         if total % 2:
             r = k - r if r > 0 else -k - r
         if r > 0:
@@ -239,16 +238,12 @@ def left_greedy_nf(b: Word, k: int | None = None) -> GarsideNF:
         k = b.n
     ranks: list[int] = []
     for letter in b.letters:
-        if letter.kind == SIGMA:
-            rank = letter.index
-        elif letter.kind == SIGMA_INV:
-            rank = -letter.index
-        else:
+        if letter.kind not in (SIGMA, SIGMA_INV):
             raise ValueError("normal forms expect crossing-only words")
         if letter.index >= k:
             raise ValueError(f"crossing {letter.token()} out of range for k={k}")
-        ranks.append(rank)
-    return _rank_nf(k, reduce(ranks))
+        ranks.append(letter.index if letter.kind == SIGMA else -letter.index)
+    return _rank_nf(k, ranks)
 
 
 class CanonicalForm(_Frozen):
@@ -262,8 +257,7 @@ class CanonicalForm(_Frozen):
 
     def __init__(self, n: int, domain: tuple, codomain: tuple, nf: GarsideNF):
         domain, codomain = tuple(domain), tuple(codomain)
-        if len(domain) != len(codomain):
-            raise ValueError("domain and codomain sizes differ")
+        _check_strand_sets(n, domain, codomain)
         if nf.k != len(domain):
             raise ValueError("normal form has the wrong strand count")
         object.__setattr__(self, "n", n)
@@ -278,12 +272,12 @@ class CanonicalForm(_Frozen):
 
 
 def canonical_form(w: Word) -> CanonicalForm:
-    """Skeleton of w with its underlying braid, freely reduced, put in left
-    normal form; the reduction is exact, as equal_nf's stage 2 says."""
+    """Skeleton of w with its underlying braid put in left normal form by
+    _rank_nf, which freely reduces the survivors' crossings first."""
     occupant = _occupants(w)
     _, domain, codomain = _strand_map(occupant)
-    ranks = reduce(_replay(w, occupant))
-    return CanonicalForm(w.n, domain, codomain, _rank_nf(len(domain), ranks))
+    nf = _rank_nf(len(domain), _replay(w, occupant))
+    return CanonicalForm(w.n, domain, codomain, nf)
 
 
 def equal_nf(w1: Word, w2: Word) -> bool:
@@ -328,11 +322,6 @@ def equal_nf(w1: Word, w2: Word) -> bool:
     return _equal_cores(k, r1[i : len(r1) - j], r2[i : len(r2) - j])
 
 
-def _exponent_sum(ranks: list[int] | tuple[int, ...]) -> int:
-    """Crossings minus inverse crossings of a signed-rank braid."""
-    return len(ranks) - 2 * sum(r < 0 for r in ranks)
-
-
 def _equal_cores(k: int, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
     """Are two signed-rank braids on k strands equal in B_k?
 
@@ -370,7 +359,8 @@ def reconstruct_word(c: CanonicalForm) -> Word:
     """A word in the ambient alphabet evaluating to the element of c:
     gathering runs, deletion block, the braid, the block again, the
     spreading permutation braid."""
-    block, spread = _deletions_and_spread(dict(enumerate(c.codomain, 1)), c.n)
+    kept = PartialInjection(c.n, c.codomain + (None,) * (c.n - len(c.codomain)))
+    block, spread = _deletions_and_spread(kept)
     letters = (
         domain_prefix_letters(c.domain)
         + block

@@ -11,9 +11,9 @@ picks the engine: equal_nf, or the action for the welded pairs it refuses.
 
 from __future__ import annotations
 
-from .diagram import PartialInjection, _occupants, _replay
-from .freegroup import MAX_LETTERS, ResourceLimitError, reduce
-from .garside import _deletions_and_spread, _exponent_sum, _rank_nf, equal_nf
+from .diagram import PartialInjection, _exponent_sum, _occupants, _replay
+from .freegroup import MAX_LETTERS, ResourceLimitError
+from .garside import _deletions_and_spread, _rank_nf, equal_nf
 from .words import EPSILON, XI, Word, braiding_word, epsilon, shift_word, sigma
 
 
@@ -68,8 +68,7 @@ def positive_lift(p: PartialInjection) -> Word:
     permutation braid of the minimal full extension of p; every pair of
     surviving strands crosses at most once.
     """
-    targets = {i: p.mapping[i - 1] for i in p.domain()}
-    deletions, spread = _deletions_and_spread(targets, p.n)
+    deletions, spread = _deletions_and_spread(p)
     return Word(p.n, deletions + spread)
 
 
@@ -94,7 +93,7 @@ def is_central(w: Word, max_letters: int = MAX_LETTERS) -> bool:
         return False
     if XI in w.kinds():
         return _commutes_with_generators(w, max_letters)
-    ranks = reduce(_replay(w, occupant))
+    ranks = _replay(w, occupant)
     if n >= 2 and _exponent_sum(ranks) % (n * (n - 1)):
         return False
     return not _rank_nf(n, ranks).factors

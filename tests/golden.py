@@ -16,7 +16,8 @@ with the terminal and words its messages differently across Python
 versions, so for a usage error that argparse raises only the last line
 of stderr is kept, and the quotes are dropped from the list of choices
 that an invalid choice names.  Help text is kept whole, wrapped at 80
-columns, as the Python that wrote the file prints it.
+columns; the top-level parser caps its help column, so Python 3.10 to
+3.13 print it alike.
 """
 
 from __future__ import annotations

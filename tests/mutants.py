@@ -39,8 +39,8 @@ MUTANTS = [
     (
         "normal-form core reads inverse ranks as positive",
         "garside.py",
-        "    for r in reversed(ranks):\n",
-        "    for r in map(abs, reversed(ranks)):\n",
+        "    for r in reversed(reduce(ranks)):\n",
+        "    for r in map(abs, reversed(reduce(ranks))):\n",
         ["tests/test_garside.py::test_left_greedy_examples"],
     ),
     (
@@ -65,10 +65,10 @@ MUTANTS = [
         ["tests/test_garside.py::test_left_weighted_is_start_set_inclusion"],
     ),
     (
-        "canonical_form normalizes the unreduced ranks",
+        "_rank_nf skips its free reduction",
         "garside.py",
-        "    ranks = reduce(_replay(w, occupant))\n",
-        "    ranks = _replay(w, occupant)\n",
+        "    for r in reversed(reduce(ranks)):\n",
+        "    for r in reversed(ranks):\n",
         ["tests/test_garside.py::test_normal_forms_start_from_the_freely_reduced_braid"],
     ),
     (
@@ -314,6 +314,13 @@ MUTANTS = [
         ["tests/test_action.py::test_abelian_invariant_examples"],
     ),
     (
+        "abelian_invariant counts every crossing as +1",
+        "diagram.py",
+        "    return AbelianClass(GROUP_CLASS, _exponent_sum(_replay(w, _occupants(w))))\n",
+        "    return AbelianClass(GROUP_CLASS, len(_replay(w, _occupants(w))))\n",
+        ["tests/test_action.py::test_abelian_invariant_examples"],
+    ),
+    (
         "word_to_perm drops invert_perm",
         "garside.py",
         "    return invert_perm(tuple(s - 1 for s in _occupants(_positive_word(w, k))))\n",
@@ -330,8 +337,8 @@ MUTANTS = [
     (
         "spare positions filled in descending order",
         "garside.py",
-        "spare = iter(j for j in range(1, n + 1) if j not in used)",
-        "spare = iter(j for j in range(n, 0, -1) if j not in used)",
+        "spare = iter(j for j in range(1, p.n + 1) if j not in used)",
+        "spare = iter(j for j in range(p.n, 0, -1) if j not in used)",
         [
             "tests/test_monoidal.py::test_printed_words_with_several_deletions",
             "tests/test_monoidal.py::test_positive_lift_length_on_all_of_i4",

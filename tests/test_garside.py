@@ -20,6 +20,7 @@ from partialbraid.diagram import (
     _replay,
     evaluate_skeleton,
 )
+from partialbraid.freegroup import reduce
 from partialbraid.garside import (
     CanonicalForm,
     GarsideNF,
@@ -371,8 +372,9 @@ def _conjugated_factors(k, ranks):
 def test_rank_nf_matches_permutation_level_conjugation(monkeypatch):
     # seeded: 20,000 signed rank lists, k = 1..12, up to 12 crossings.  The
     # factors _rank_nf hands to _normalize, and its half-twist power, must
-    # be those of the permutation-level route; _normalize is stubbed out,
-    # as left-weighting equal inputs gives equal forms
+    # be those of the permutation-level route on the freely reduced ranks;
+    # _normalize is stubbed out, as left-weighting equal inputs gives equal
+    # forms
     handed = []
     monkeypatch.setattr(
         garside, "_normalize", lambda factors, k: handed.append(factors) or (0, ())
@@ -383,7 +385,8 @@ def test_rank_nf_matches_permutation_level_conjugation(monkeypatch):
         length = rng.randint(0, 12) if k > 1 else 0
         ranks = [rng.choice((1, -1)) * rng.randint(1, k - 1) for _ in range(length)]
         nf = garside._rank_nf(k, ranks)
-        assert (nf.inf, handed.pop()) == _conjugated_factors(k, ranks), (k, ranks)
+        expected = _conjugated_factors(k, reduce(ranks))
+        assert (nf.inf, handed.pop()) == expected, (k, ranks)
 
 
 def test_garside_nf_refuses_factors_that_are_not_permutations():
@@ -434,17 +437,18 @@ def _has_cancelling_pair(ranks):
 
 
 def test_normal_forms_start_from_the_freely_reduced_braid(monkeypatch):
-    # every normal form canonical_form, left_greedy_nf and is_central build
-    # is handed ranks with no adjacent r, -r; monoidal imports _rank_nf
+    # _rank_nf freely reduces the ranks it is given: the factors it hands
+    # _normalize are those of ranks with no adjacent r, -r, for every
+    # normal form canonical_form, left_greedy_nf and is_central build from
+    # an unreduced survivor braid, and for direct calls
     handed = []
-    real = garside._rank_nf
+    real = garside._normalize
 
-    def spy(k, ranks):
-        handed.append(tuple(ranks))
-        return real(k, ranks)
+    def spy(factors, k):
+        handed.append(list(factors))
+        return real(factors, k)
 
-    monkeypatch.setattr(garside, "_rank_nf", spy)
-    monkeypatch.setattr(monoidal, "_rank_nf", spy)
+    monkeypatch.setattr(garside, "_normalize", spy)
     # the pairs cancel as written, after an inner pair goes, and once a
     # deleted strand takes the crossing between them; is_central's words
     # are pure with a multiple of n(n-1) as exponent sum, so they reach
@@ -458,20 +462,32 @@ def test_normal_forms_start_from_the_freely_reduced_braid(monkeypatch):
     cases += [(monoidal.is_central, text, 3) for text in central]
     for build, text, n in cases:
         word = w(text, n)
-        assert _has_cancelling_pair(_replay(word, _occupants(word))), text
+        occupant = _occupants(word)
+        ranks = _replay(word, occupant)
+        assert _has_cancelling_pair(ranks), text
         del handed[:]
         build(word)
-        assert len(handed) == 1 and not _has_cancelling_pair(handed[0]), (
-            build.__name__, text, handed
-        )
+        k = n - occupant.count(None)
+        expected = _conjugated_factors(k, reduce(ranks))[1]
+        assert handed == [expected], (build.__name__, text)
     assert all(monoidal.is_central(w(text, 3)) for text in central)
+    # direct calls: pairs as written, nested, and apart from an outer pair
+    direct = [(2, [1, -1]), (3, [2, -1, 1, -2]), (4, [3, 1, 2, -2, -1, 1]),
+              (4, [-3, 3, -2, 1, 2, -2, -1])]
+    for k, ranks in direct:
+        del handed[:]
+        garside._rank_nf(k, ranks)
+        reduced = reduce(ranks)
+        assert len(reduced) < len(ranks) and not _has_cancelling_pair(reduced)
+        assert handed == [_conjugated_factors(k, reduced)[1]], (k, ranks)
 
 
-def test_canonical_form_matches_the_unreduced_normal_form():
+def test_canonical_form_matches_the_unreduced_normal_form(monkeypatch):
     # seeded: free reduction leaves the normal form as it was, on crossing
     # words of n = 3..10, 20 and 40 strands and up to 400 letters, each
     # with s_i s_i^-1 pairs inserted at random and, every other word, a
-    # deletion or two
+    # deletion or two.  The unreduced side is _rank_nf with its reduction
+    # patched out
     rng = random.Random(0xF4EE)
     cancelled = 0
     for n in (*range(3, 11), 20, 40):
@@ -486,7 +502,9 @@ def test_canonical_form_matches_the_unreduced_normal_form():
             word = Word(n, letters)
             occupant = _occupants(word)
             ranks = _replay(word, occupant)
-            unreduced = garside._rank_nf(n - occupant.count(None), ranks)
+            with monkeypatch.context() as patch:
+                patch.setattr(garside, "reduce", tuple)
+                unreduced = garside._rank_nf(n - occupant.count(None), ranks)
             assert canonical_form(word).nf == unreduced, str(word)
             cancelled += _has_cancelling_pair(ranks)
     # a deletion may take one inserted pair's crossings with it

@@ -400,6 +400,29 @@ def test_value_types_keep_dataclass_semantics():
                      id="canonical-domain and codomain sizes differ"),
         (lambda: CanonicalForm(3, (1, 2), (1, 3), GarsideNF(3, 1, ())),
          "normal form has the wrong strand count"),
+        # strand sets are strictly ascending positions in 1..n, checked
+        # after the sizes; (2, 1) would read back as another element
+        pytest.param(lambda: CanonicalForm(3, (2, 1), (1,), GarsideNF(1, 0, ())),
+                     "domain and codomain sizes differ",
+                     id="canonical-sizes differ before the order"),
+        pytest.param(lambda: CanonicalForm(3, (2, 1), (1, 2), GarsideNF(2, 0, ())),
+                     "domain and codomain must ascend strictly in 1..3",
+                     id="canonical-domain descending"),
+        pytest.param(lambda: CanonicalForm(3, (1, 1), (1, 2), GarsideNF(2, 0, ())),
+                     "domain and codomain must ascend strictly in 1..3",
+                     id="canonical-domain repeated"),
+        pytest.param(lambda: CanonicalForm(3, (0, 1), (1, 2), GarsideNF(2, 0, ())),
+                     "domain and codomain must ascend strictly in 1..3",
+                     id="canonical-domain below 1"),
+        pytest.param(lambda: CanonicalForm(3, (1, 2), (3, 4), GarsideNF(2, 0, ())),
+                     "domain and codomain must ascend strictly in 1..3",
+                     id="canonical-codomain past n"),
+        pytest.param(lambda: Skeleton(2, (2, 1), (1, 2), Word(2), (2, 1)),
+                     "domain and codomain must ascend strictly in 1..2",
+                     id="skeleton-domain descending"),
+        pytest.param(lambda: Skeleton(2, (1,), (0,), Word(1), (0, None)),
+                     "domain and codomain must ascend strictly in 1..2",
+                     id="skeleton-codomain below 1"),
         (lambda: GarsideNF(1, 1, ()), "the half-twist is trivial below two strands"),
         (lambda: GarsideNF(3, 0, ((2, 1, 0),)),
          "factors exclude the identity and the half-twist"),
