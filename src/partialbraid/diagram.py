@@ -20,20 +20,15 @@ class Skeleton(_Frozen):
 
     domain lists the surviving strands by start position, codomain their
     end positions, both ascending; braid is a crossing-only word on
-    k = len(domain) strands, indexed by rank among the survivors.
-    mapping[s-1] is the end position of the strand starting at s, or None
-    when it is deleted: the partial injection the word induces.
+    k = len(domain) strands, indexed by rank among the survivors.  With n
+    they determine the element; mapping reads its strand map off them.
     """
 
-    __slots__ = ("n", "domain", "codomain", "braid", "mapping")
+    __slots__ = ("n", "domain", "codomain", "braid")
 
-    def __init__(
-        self, n: int, domain: tuple, codomain: tuple, braid: Word, mapping: tuple
-    ):
-        domain, codomain, mapping = tuple(domain), tuple(codomain), tuple(mapping)
+    def __init__(self, n: int, domain: tuple, codomain: tuple, braid: Word):
+        domain, codomain = tuple(domain), tuple(codomain)
         _check_strand_sets(n, domain, codomain)
-        if len(mapping) != n:
-            raise ValueError("strand map has the wrong length")
         if braid.n != len(domain):
             raise ValueError("underlying braid has the wrong strand count")
         if any(x.kind not in (SIGMA, SIGMA_INV) for x in set(braid.letters)):
@@ -42,7 +37,14 @@ class Skeleton(_Frozen):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "braid", braid)
-        object.__setattr__(self, "mapping", mapping)
+
+    @property
+    def mapping(self) -> tuple:
+        """The strand map: mapping[s-1] is where the strand starting at s
+        ends, or None if it is deleted, read off the survivors' braid."""
+        starts = [self.domain[r - 1] for r in _occupants(self.braid)]
+        end = dict(zip(starts, self.codomain))
+        return tuple(end.get(s) for s in range(1, self.n + 1))
 
     def __str__(self) -> str:
         dom = ",".join(str(i) for i in self.domain)
@@ -127,14 +129,10 @@ def _occupants(w: Word) -> list[int | None]:
     return occupant
 
 
-def _strand_map(occupant: list[int | None]) -> tuple:
-    """(mapping, domain, codomain) of the partial injection whose occupant
-    list is occupant, read off the first pass without touching the word:
-    the occupant list maps end positions to start strands, and the strand
-    map that skeletons report is its inverse."""
-    ends = PartialInjection(len(occupant), tuple(occupant))
-    starts = ends.inverse()
-    return starts.mapping, starts.domain(), ends.domain()
+def _kept_strands(occupant: list[int | None]) -> tuple:
+    """(domain, codomain): the surviving start strands and their ends."""
+    codomain = tuple(p for p, s in enumerate(occupant, 1) if s is not None)
+    return tuple(sorted(filter(None, occupant))), codomain
 
 
 def _replay(w: Word, occupant: list[int | None]) -> list[int]:
@@ -178,15 +176,15 @@ def evaluate_skeleton(w: Word) -> Skeleton:
     """Track strands through w and return its skeleton.
 
     Two passes, O(len(w) + n): _occupants follows the occupant of every
-    position to find the survivors and where each one ends, from which
-    _strand_map reads the strand map, and _replay replays the word with
-    only the survivors placed to read off the underlying braid.  Raises
-    ValueError on a welded (xi) swap of two survivors, from the second pass.
+    position to find the survivors and where each one ends, and _replay
+    replays the word with only the survivors placed to read off the
+    underlying braid.  Raises ValueError on a welded (xi) swap of two
+    survivors, from the second pass.
     """
     occupant = _occupants(w)
-    mapping, domain, codomain = _strand_map(occupant)
+    domain, codomain = _kept_strands(occupant)
     braid = _crossing_word(len(domain), _replay(w, occupant))
-    return Skeleton(w.n, domain, codomain, braid, mapping)
+    return Skeleton(w.n, domain, codomain, braid)
 
 
 def delete_strand(braid: Word, start_pos: int) -> Word:

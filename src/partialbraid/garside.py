@@ -16,13 +16,14 @@ what makes structural equality of canonical forms a word-problem solver.
 from __future__ import annotations
 
 from .diagram import PartialInjection, _check_strand_sets, _exponent_sum
-from .diagram import _occupants, _replay, _strand_map
+from .diagram import _kept_strands, _occupants, _replay
 from .freegroup import reduce
 from .words import (
     SIGMA,
     SIGMA_INV,
     Word,
     _Frozen,
+    _check_strand_count,
     delta_word,
     domain_prefix_letters,
     epsilon,
@@ -49,22 +50,17 @@ def invert_perm(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def _positive_word(w: Word, k: int | None) -> Word:
-    """w on k strands (w.n when None), refusing any letter but a crossing."""
-    if k is None:
-        k = w.n
-    for letter in w.letters:
-        if letter.kind != SIGMA:
-            raise ValueError("word_to_perm expects positive crossings only")
-        if letter.index >= k:
-            raise ValueError(f"crossing {letter.token()} out of range for k={k}")
-    return Word(k, w.letters)
+def _positive_word(w: Word) -> Word:
+    """w, refusing any letter but a positive crossing."""
+    if any(letter.kind != SIGMA for letter in w.letters):
+        raise ValueError("word_to_perm expects positive crossings only")
+    return w
 
 
-def word_to_perm(w: Word, k: int | None = None) -> Perm:
-    """Underlying permutation of a positive crossing-only word."""
+def word_to_perm(w: Word) -> Perm:
+    """Permutation of a positive crossing-only word on its w.n strands."""
     # the start strand ending at each position is the inverse permutation
-    return invert_perm(tuple(s - 1 for s in _occupants(_positive_word(w, k))))
+    return invert_perm(tuple(s - 1 for s in _occupants(_positive_word(w))))
 
 
 def perm_to_word(p: Perm, n: int | None = None) -> Word:
@@ -100,11 +96,10 @@ def _deletions_and_spread(p: PartialInjection) -> tuple:
     return deletions, perm_to_word(images, p.n).letters
 
 
-def is_permutation_braid(w: Word, k: int | None = None) -> bool:
+def is_permutation_braid(w: Word) -> bool:
     """Does every pair of strands cross at most once in w?  Refuses what
     word_to_perm refuses, in its words."""
-    b = _positive_word(w, k)
-    return _crossing_once(b.n, tuple(letter.index for letter in b.letters)) is not None
+    return _crossing_once(w.n, tuple(x.index for x in _positive_word(w))) is not None
 
 
 def _left_weight_pair(a: Perm, b: Perm, k: int) -> tuple[Perm, Perm, bool]:
@@ -163,6 +158,7 @@ class GarsideNF(_Frozen):
 
     def __init__(self, k: int, inf: int, factors: tuple[Perm, ...]):
         factors = tuple(map(tuple, factors))
+        _check_strand_count(k)
         if k < 2 and inf != 0:
             raise ValueError("the half-twist is trivial below two strands")
         ident = identity_perm(k)
@@ -275,7 +271,7 @@ def canonical_form(w: Word) -> CanonicalForm:
     """Skeleton of w with its underlying braid put in left normal form by
     _rank_nf, which freely reduces the survivors' crossings first."""
     occupant = _occupants(w)
-    _, domain, codomain = _strand_map(occupant)
+    domain, codomain = _kept_strands(occupant)
     nf = _rank_nf(len(domain), _replay(w, occupant))
     return CanonicalForm(w.n, domain, codomain, nf)
 

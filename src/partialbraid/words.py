@@ -119,13 +119,17 @@ def xi(i: int) -> Letter:
     return Letter(XI, i)
 
 
+def _check_strand_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"strand count must be >= 0, got {n}")
+
+
 class Word(_Frozen):
     __slots__ = ("n", "letters")
 
     def __init__(self, n: int, letters: Iterable[Letter] = ()):
         letters = tuple(letters)
-        if n < 0:
-            raise ValueError(f"strand count must be >= 0, got {n}")
+        _check_strand_count(n)
         try:
             for letter in letters:
                 if letter._strands > n:
@@ -180,6 +184,7 @@ def parse_word(
     stored.  So words and errors are those of a fresh parse, a token that
     raises is never stored, and the table holds at most 4n-3 entries.
     """
+    _check_strand_count(n)
     tokens = text.split()
     if _seen is not None:
         try:

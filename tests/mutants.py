@@ -182,6 +182,13 @@ MUTANTS = [
         ["tests/test_diagram.py::test_welded_tracker_matches_position_tracking"],
     ),
     (
+        "Skeleton.mapping ignores the braid",
+        "diagram.py",
+        "        starts = [self.domain[r - 1] for r in _occupants(self.braid)]\n",
+        "        starts = list(self.domain)\n",
+        ["tests/test_diagram.py::test_skeleton_agrees_with_tau"],
+    ),
+    (
         "_replay lets a welded swap through as a crossing",
         "diagram.py",
         "            if kind == XI:\n"
@@ -323,8 +330,8 @@ MUTANTS = [
     (
         "word_to_perm drops invert_perm",
         "garside.py",
-        "    return invert_perm(tuple(s - 1 for s in _occupants(_positive_word(w, k))))\n",
-        "    return tuple(s - 1 for s in _occupants(_positive_word(w, k)))\n",
+        "    return invert_perm(tuple(s - 1 for s in _occupants(_positive_word(w))))\n",
+        "    return tuple(s - 1 for s in _occupants(_positive_word(w)))\n",
         ["tests/test_garside.py::test_perm_to_word_round_trip"],
     ),
     (

@@ -120,7 +120,7 @@ def test_criterion_03_normal_form_uniqueness():
         k = len(form.domain)
         for factor in form.nf.factors:
             assert factor not in (identity_perm(k), longest_perm(k))
-            assert is_permutation_braid(perm_to_word(factor), k)
+            assert is_permutation_braid(perm_to_word(factor))
         for a, b in zip(form.nf.factors, form.nf.factors[1:]):
             assert left_weighted(a, b)
     report(3, "1000 canonical forms: rebuild round-trips, factors greedy")

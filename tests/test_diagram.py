@@ -12,10 +12,11 @@ from conftest import (
 )
 from partialbraid.action import equal_action, evaluate
 from partialbraid.diagram import (
+    PartialInjection,
     Skeleton,
+    _kept_strands,
     _occupants,
     _replay,
-    _strand_map,
     delete_strand,
     evaluate_skeleton,
 )
@@ -57,10 +58,12 @@ def test_skeleton_examples():
 
 
 def test_skeleton_validates_strand_map():
-    braid = Word(1)
-    assert Skeleton(2, (2,), (1,), braid, (None, 1)).mapping == (None, 1)
-    with pytest.raises(ValueError):
-        Skeleton(2, (2,), (1,), braid, (None, 1, None))
+    # the strand map is read off the braid, never passed in: one element,
+    # one skeleton
+    assert Skeleton(2, (2,), (1,), Word(1)).mapping == (None, 1)
+    assert Skeleton(3, (1, 3), (2, 3), w("s1", 2)).mapping == (3, None, 2)
+    with pytest.raises(TypeError):
+        Skeleton(2, (1,), (1,), Word(1), (2, None))
 
 
 def test_skeleton_idempotent_deletion_is_noop():
@@ -174,7 +177,10 @@ def test_strand_map_inverts_every_occupant_list():
     for n in range(6):
         lists = list(_occupant_lists(n))
         for occupant in lists:
-            assert _strand_map(occupant) == _inverted_occupants(occupant), occupant
+            mapping, domain, codomain = _inverted_occupants(occupant)
+            starts = PartialInjection(n, tuple(occupant)).inverse()
+            assert starts.mapping == mapping, occupant
+            assert _kept_strands(occupant) == (domain, codomain), occupant
         counts.append(len(lists))
     assert counts == [1, 2, 7, 34, 209, 1546]
 
@@ -281,6 +287,28 @@ def test_skeleton_display():
     assert str(evaluate_skeleton(w("e2", 3))) == "I={1,3} J={1,3} braid="
 
 
+def test_skeleton_is_what_it_prints():
+    # seeded: 3,000 words with e and t letters, n = 0..9, up to 3n letters;
+    # each of the 2,056 with a skeleton (773 of them with t letters whose
+    # swaps meet an empty position) is rebuilt from the four fields it
+    # prints, and the rebuilt strand map inverts the word's occupant list
+    rng = random.Random(0x5CE7)
+    built = welded = 0
+    for case in range(3000):
+        n = case % 10
+        word = random_word(rng, n, 3 * n, with_xi=True)
+        if has_survivor_swap(word):
+            continue
+        s = evaluate_skeleton(word)
+        twin = Skeleton(s.n, s.domain, s.codomain, s.braid)
+        assert twin == s and hash(twin) == hash(s), str(word)
+        starts = PartialInjection(n, tuple(_occupants(word))).inverse()
+        assert twin.mapping == starts.mapping, str(word)
+        built += 1
+        welded += XI in word.kinds()
+    assert built > 1500 and welded > 500, (built, welded)
+
+
 def test_delete_strand_examples():
     assert delete_strand(w("s1 s1", 2), 1) == Word(1)
     assert str(delete_strand(w("s1 s2 s1", 3), 2)) == "s1"
@@ -319,8 +347,8 @@ def test_delete_strand_permutation_oracle(rng):
         braid = random_braid_word(rng, k, 12)
         positive = Word(k, tuple(sigma(letter.index) for letter in braid))
         start = rng.randint(1, k)
-        perm = word_to_perm(positive, k)
-        smaller = word_to_perm(delete_strand(positive, start), k - 1)
+        perm = word_to_perm(positive)
+        smaller = word_to_perm(delete_strand(positive, start))
         expected = []
         for i in range(k):
             if i == start - 1:

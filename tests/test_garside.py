@@ -88,16 +88,13 @@ def test_word_to_perm_rejects_inverses():
 
 
 def test_word_to_perm_error_texts():
-    # letter by letter, the kind is checked before the range
-    for text, n, k, message in [
-        ("s2^-1", 3, 2, "word_to_perm expects positive crossings only"),
-        ("s1 t1", 2, None, "word_to_perm expects positive crossings only"),
-        ("e1", 2, None, "word_to_perm expects positive crossings only"),
-        ("s1 s2", 3, 2, "crossing s2 out of range for k=2"),
-        ("s2 e1", 3, 2, "crossing s2 out of range for k=2"),
+    for text, n, message in [
+        ("s2^-1", 3, "word_to_perm expects positive crossings only"),
+        ("s1 t1", 2, "word_to_perm expects positive crossings only"),
+        ("e1", 2, "word_to_perm expects positive crossings only"),
     ]:
         with pytest.raises(ValueError) as caught:
-            word_to_perm(w(text, n), k)
+            word_to_perm(w(text, n))
         assert str(caught.value) == message, text
 
 
@@ -118,7 +115,7 @@ def test_perm_to_word_round_trip(rng):
         rng.shuffle(images)
         p = tuple(images)
         lift = perm_to_word(p)
-        assert word_to_perm(lift, k) == p
+        assert word_to_perm(lift) == p
         assert len(lift) == perm_length(p)
 
 
@@ -159,11 +156,11 @@ def test_is_permutation_braid():
     assert is_permutation_braid(Word(5))
 
 
-def _inversion_count_verdict(word, k=None):
+def _inversion_count_verdict(word):
     """is_permutation_braid as first written: as many letters as the
     permutation has inversions; an error is returned as its text."""
     try:
-        return len(word.letters) == perm_length(word_to_perm(word, k))
+        return len(word.letters) == perm_length(word_to_perm(word))
     except ValueError as exc:
         return str(exc)
 
@@ -177,25 +174,21 @@ def test_is_permutation_braid_matches_the_inversion_count(rng):
         assert got == _inversion_count_verdict(word), str(word)
         verdicts[got] += 1
     assert all(v > 2_000 for v in verdicts.values()), verdicts
-    # other letters and other strand counts raise word_to_perm's errors
+    # other letters raise word_to_perm's errors
     for _ in range(2_000):
-        n = rng.randint(1, 6)
-        word = random_word(rng, n, 6, with_xi=True)
-        k = rng.choice((None, n - 1, n, n + 1, -1))
+        word = random_word(rng, rng.randint(1, 6), 6, with_xi=True)
         try:
-            got = is_permutation_braid(word, k)
+            got = is_permutation_braid(word)
         except ValueError as exc:
             got = str(exc)
-        assert got == _inversion_count_verdict(word, k), (str(word), k)
-    for text, n, k, message in [
-        ("s2^-1", 3, 2, "word_to_perm expects positive crossings only"),
-        ("s1 t1", 2, None, "word_to_perm expects positive crossings only"),
-        ("e1", 2, None, "word_to_perm expects positive crossings only"),
-        ("s1 s2", 3, 2, "crossing s2 out of range for k=2"),
-        ("", 2, -1, "strand count must be >= 0, got -1"),
+        assert got == _inversion_count_verdict(word), str(word)
+    for text, n, message in [
+        ("s2^-1", 3, "word_to_perm expects positive crossings only"),
+        ("s1 t1", 2, "word_to_perm expects positive crossings only"),
+        ("e1", 2, "word_to_perm expects positive crossings only"),
     ]:
         with pytest.raises(ValueError) as caught:
-            is_permutation_braid(w(text, n), k)
+            is_permutation_braid(w(text, n))
         assert str(caught.value) == message, text
 
 
@@ -282,7 +275,7 @@ def test_nf_factors_are_greedy_permutation_braids(rng):
         for factor in nf.factors:
             assert factor != identity_perm(k)
             assert factor != longest_perm(k)
-            assert is_permutation_braid(perm_to_word(factor), k)
+            assert is_permutation_braid(perm_to_word(factor))
         for a, b in zip(nf.factors, nf.factors[1:]):
             assert left_weighted(a, b)
 

@@ -182,7 +182,7 @@ def test_positive_lift_is_a_section(rng):
         assert tau(lifted) == injection
         assert all(letter.kind in (SIGMA, EPSILON) for letter in lifted)
         crossings = Word(n, tuple(l for l in lifted if l.kind == SIGMA))
-        assert is_permutation_braid(crossings, n)
+        assert is_permutation_braid(crossings)
 
 
 def test_positive_lift_identity():

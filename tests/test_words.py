@@ -333,8 +333,7 @@ def _value_cases():
         (Letter, {"kind": W.EPSILON, "index": 2}),
         (Word, {"n": 2, "letters": (sigma(1), epsilon(2))}),
         (RelationPair, {"left": word, "right": Word(2), "tag": "t"}),
-        (Skeleton, {"n": 2, "domain": (1, 2), "codomain": (1, 2),
-                    "braid": word, "mapping": (2, 1)}),
+        (Skeleton, {"n": 2, "domain": (1, 2), "codomain": (1, 2), "braid": word}),
         (GarsideNF, {"k": 3, "inf": 1, "factors": ((1, 0, 2),)}),
         (CanonicalForm, {"n": 3, "domain": (1, 2, 3), "codomain": (1, 2, 3),
                          "nf": nf}),
@@ -382,17 +381,22 @@ def test_value_types_keep_dataclass_semantics():
         (lambda: Letter("q", 1), "unknown letter kind 'q'"),
         (lambda: Letter(W.SIGMA, 0), "letter index must be >= 1, got 0"),
         (lambda: Word(-1), "strand count must be >= 0, got -1"),
+        # explicit ids: the message repeats the Word case above; parse_word
+        # names the count before it blames a letter
+        pytest.param(lambda: parse_word("s1", -2),
+                     "strand count must be >= 0, got -2",
+                     id="parse-negative strand count"),
+        pytest.param(lambda: GarsideNF(-1, 0, ()),
+                     "strand count must be >= 0, got -1",
+                     id="garside-negative strand count"),
         (lambda: Word(2, (sigma(1), epsilon(3), sigma(2))),
          "letter e3 out of range for n=2"),
         (lambda: RelationPair(Word(1), Word(2), "t"),
          "relation sides live on different strand counts"),
-        (lambda: Skeleton(2, (1,), (), Word(1), (1, None)),
-         "domain and codomain sizes differ"),
-        (lambda: Skeleton(2, (1,), (1,), Word(1), (1,)),
-         "strand map has the wrong length"),
-        (lambda: Skeleton(2, (1,), (1,), Word(2), (1, None)),
+        (lambda: Skeleton(2, (1,), (), Word(1)), "domain and codomain sizes differ"),
+        (lambda: Skeleton(2, (1,), (1,), Word(2)),
          "underlying braid has the wrong strand count"),
-        (lambda: Skeleton(2, (1, 2), (1, 2), Word(2, (epsilon(1),)), (1, 2)),
+        (lambda: Skeleton(2, (1, 2), (1, 2), Word(2, (epsilon(1),))),
          "underlying braid must be crossing-only"),
         # explicit id: the message repeats the Skeleton case above
         pytest.param(lambda: CanonicalForm(3, (1, 2), (1,), GarsideNF(3, 1, ())),
@@ -417,10 +421,10 @@ def test_value_types_keep_dataclass_semantics():
         pytest.param(lambda: CanonicalForm(3, (1, 2), (3, 4), GarsideNF(2, 0, ())),
                      "domain and codomain must ascend strictly in 1..3",
                      id="canonical-codomain past n"),
-        pytest.param(lambda: Skeleton(2, (2, 1), (1, 2), Word(2), (2, 1)),
+        pytest.param(lambda: Skeleton(2, (2, 1), (1, 2), Word(2)),
                      "domain and codomain must ascend strictly in 1..2",
                      id="skeleton-domain descending"),
-        pytest.param(lambda: Skeleton(2, (1,), (0,), Word(1), (0, None)),
+        pytest.param(lambda: Skeleton(2, (1,), (0,), Word(1)),
                      "domain and codomain must ascend strictly in 1..2",
                      id="skeleton-codomain below 1"),
         (lambda: GarsideNF(1, 1, ()), "the half-twist is trivial below two strands"),
@@ -456,7 +460,7 @@ def _tupled(value):
 _LISTED_FIELDS = [
     (Word, {"n": 2, "letters": [sigma(1), epsilon(2)]}),
     (Skeleton, {"n": 2, "domain": [1, 2], "codomain": [1, 2],
-                "braid": Word(2, (sigma(1),)), "mapping": [2, 1]}),
+                "braid": Word(2, (sigma(1),))}),
     (GarsideNF, {"k": 3, "inf": 1, "factors": [[1, 0, 2]]}),
     (CanonicalForm, {"n": 3, "domain": [1, 2, 3], "codomain": [1, 2, 3],
                      "nf": GarsideNF(3, 1, ((1, 0, 2),))}),
